@@ -250,22 +250,42 @@ double MatrixCostSource::TotalCost(ConfigId c) const {
   return total;
 }
 
+CachingCostSource::Row::Row(size_t num_configs)
+    : filled(std::make_unique<std::once_flag[]>(num_configs)),
+      values(std::make_unique_for_overwrite<double[]>(num_configs)) {}
+
 CachingCostSource::CachingCostSource(CostSource* inner)
     : inner_(inner),
       num_queries_(inner->num_queries()),
-      num_configs_(inner->num_configs()) {
+      num_configs_(inner->num_configs()),
+      rows_(std::make_unique<std::atomic<Row*>[]>(num_queries_)) {
   PDX_CHECK(inner_ != nullptr);
-  const size_t cells = num_queries_ * num_configs_;
-  if (cells > 0) {
-    filled_ = std::make_unique<std::once_flag[]>(cells);
-    values_ = std::make_unique<double[]>(cells);
+}
+
+CachingCostSource::~CachingCostSource() {
+  for (size_t q = 0; q < num_queries_; ++q) {
+    delete rows_[q].load(std::memory_order_relaxed);
   }
 }
 
-bool CachingCostSource::FillCell(QueryId q, ConfigId c, size_t cell) {
+CachingCostSource::Row& CachingCostSource::RowOf(QueryId q) {
+  std::atomic<Row*>& slot = rows_[q];
+  Row* row = slot.load(std::memory_order_acquire);
+  if (row != nullptr) return *row;
+  auto fresh = std::make_unique<Row>(num_configs_);
+  // Losing the race frees `fresh`; `row` then holds the winner's row.
+  if (slot.compare_exchange_strong(row, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *row;
+}
+
+bool CachingCostSource::FillCell(Row& row, QueryId q, ConfigId c) {
   bool cold = false;
-  std::call_once(filled_[cell], [&] {
-    values_[cell] = inner_->Cost(q, c);
+  std::call_once(row.filled[c], [&] {
+    row.values[c] = inner_->Cost(q, c);
     cold = true;
   });
   return cold;
@@ -274,9 +294,9 @@ bool CachingCostSource::FillCell(QueryId q, ConfigId c, size_t cell) {
 double CachingCostSource::Cost(QueryId q, ConfigId c) {
   PDX_CHECK(q < num_queries_);
   PDX_CHECK(c < num_configs_);
-  const size_t cell = CellOf(q, c);
+  Row& row = RowOf(q);
   const uint64_t t0 = obs::TimerStart();
-  if (FillCell(q, c, cell)) {
+  if (FillCell(row, q, c)) {
     // Cold latency is recorded by the inner source (the actual what-if
     // call); recording it here too would double-count.
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -286,40 +306,49 @@ double CachingCostSource::Cost(QueryId q, ConfigId c) {
     CMetrics().exact_hit->Add();
     obs::TimerStop(t0, CMetrics().exact_hit_ns);
   }
-  return values_[cell];
+  return row.values[c];
 }
+
+namespace {
+
+// Publishes a batch's hit/miss tally: one add per class on the atomics and
+// metric counters. Hit latency is attributed at the batch's per-cell mean
+// (cold inner calls record their own latency), which keeps the batch at
+// one clock read instead of one per cell.
+void FlushExactBatch(uint64_t t0, uint64_t n, uint64_t cold,
+                     std::atomic<uint64_t>* misses,
+                     std::atomic<uint64_t>* hits) {
+  CacheMetrics& m = CMetrics();
+  const uint64_t warm = n - cold;
+  if (cold > 0) {
+    misses->fetch_add(cold, std::memory_order_relaxed);
+    m.exact_cold->Add(cold);
+  }
+  if (warm > 0) {
+    hits->fetch_add(warm, std::memory_order_relaxed);
+    m.exact_hit->Add(warm);
+    if (t0 != 0) m.exact_hit_ns->RecordBatch(((obs::NowNs() - t0) / n) * warm,
+                                             warm);
+  }
+}
+
+}  // namespace
 
 void CachingCostSource::CostMany(std::span<const QueryId> queries, ConfigId c,
                                  std::span<double> out) {
   PDX_CHECK(queries.size() == out.size());
   PDX_CHECK(c < num_configs_);
   obs::SpanScope batch_span("exact_batch", "cost");
-  // Accounting is hoisted: tallies are batch-local and the atomics /
-  // metric counters take one add per class. Hit latency is attributed at
-  // the batch's per-cell mean (cold inner calls record their own latency),
-  // which keeps the batch at one clock read instead of one per cell.
-  CacheMetrics& m = CMetrics();
   const uint64_t t0 = obs::TimerStart();
   uint64_t cold = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     const QueryId q = queries[i];
     PDX_CHECK(q < num_queries_);
-    const size_t cell = CellOf(q, c);
-    if (FillCell(q, c, cell)) ++cold;
-    out[i] = values_[cell];
+    Row& row = RowOf(q);
+    if (FillCell(row, q, c)) ++cold;
+    out[i] = row.values[c];
   }
-  const uint64_t n = queries.size();
-  const uint64_t hits = n - cold;
-  if (cold > 0) {
-    misses_.fetch_add(cold, std::memory_order_relaxed);
-    m.exact_cold->Add(cold);
-  }
-  if (hits > 0) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    m.exact_hit->Add(hits);
-    if (t0 != 0) m.exact_hit_ns->RecordBatch(((obs::NowNs() - t0) / n) * hits,
-                                             hits);
-  }
+  FlushExactBatch(t0, queries.size(), cold, &misses_, &hits_);
 }
 
 void CachingCostSource::CostAcross(QueryId q, std::span<const ConfigId> configs,
@@ -327,28 +356,17 @@ void CachingCostSource::CostAcross(QueryId q, std::span<const ConfigId> configs,
   PDX_CHECK(configs.size() == out.size());
   PDX_CHECK(q < num_queries_);
   obs::SpanScope batch_span("exact_batch", "cost");
-  CacheMetrics& m = CMetrics();
+  if (configs.empty()) return;  // touches no cell: allocate no row
   const uint64_t t0 = obs::TimerStart();
+  Row& row = RowOf(q);
   uint64_t cold = 0;
   for (size_t i = 0; i < configs.size(); ++i) {
     const ConfigId c = configs[i];
     PDX_CHECK(c < num_configs_);
-    const size_t cell = CellOf(q, c);
-    if (FillCell(q, c, cell)) ++cold;
-    out[i] = values_[cell];
+    if (FillCell(row, q, c)) ++cold;
+    out[i] = row.values[c];
   }
-  const uint64_t n = configs.size();
-  const uint64_t hits = n - cold;
-  if (cold > 0) {
-    misses_.fetch_add(cold, std::memory_order_relaxed);
-    m.exact_cold->Add(cold);
-  }
-  if (hits > 0) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    m.exact_hit->Add(hits);
-    if (t0 != 0) m.exact_hit_ns->RecordBatch(((obs::NowNs() - t0) / n) * hits,
-                                             hits);
-  }
+  FlushExactBatch(t0, configs.size(), cold, &misses_, &hits_);
 }
 
 // ---------------------------------------------------------------------------

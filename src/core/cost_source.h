@@ -11,8 +11,8 @@
 // Thread-safety: Cost() may be called concurrently from ThreadPool
 // workers on every implementation in this header — call accounting is
 // atomic and the underlying data is immutable after construction
-// (CachingCostSource fills each cache cell exactly once via
-// std::call_once).
+// (CachingCostSource installs each cache row by compare-and-swap and
+// fills each cell exactly once via std::call_once).
 #pragma once
 
 #include <atomic>
@@ -214,14 +214,20 @@ class MatrixCostSource : public CostSource {
 /// counts only cold misses (the optimizer calls actually made); hits are
 /// reported separately.
 ///
-/// The cache is a dense num_queries x num_configs table stored
-/// config-major (matching MatrixCostSource's columnar layout, so batched
-/// column sweeps touch consecutive cells); each cell is guarded by a
-/// std::once_flag, so concurrent Cost() calls for the same pair still
-/// make exactly one underlying call. Does not own `inner`.
+/// The cache is query-major with lazily allocated rows: one atomic row
+/// pointer per query, installed by compare-and-swap on the query's first
+/// touch, each row holding num_configs once_flags and values. A selection
+/// samples n << N queries, so construction costs N null pointers rather
+/// than N x k zeroed cells, and the Delta hot path CostAcross reads one
+/// contiguous row. Each cell is guarded by its std::once_flag, so
+/// concurrent calls for the same pair still make exactly one underlying
+/// call. Does not own `inner`.
 class CachingCostSource : public CostSource {
  public:
   explicit CachingCostSource(CostSource* inner);
+  ~CachingCostSource() override;
+
+  PDX_DISALLOW_COPY(CachingCostSource);
 
   double Cost(QueryId q, ConfigId c) override;
   void CostMany(std::span<const QueryId> queries, ConfigId c,
@@ -252,18 +258,23 @@ class CachingCostSource : public CostSource {
   uint64_t num_hits() const { return hits_.load(std::memory_order_relaxed); }
 
  private:
-  /// Config-major cell index of (q, c).
-  size_t CellOf(QueryId q, ConfigId c) const {
-    return static_cast<size_t>(c) * num_queries_ + q;
-  }
-  /// Fills `cell` if cold; returns true when this call was the miss.
-  bool FillCell(QueryId q, ConfigId c, size_t cell);
+  /// The cached cells of one query, indexed by configuration.
+  struct Row {
+    explicit Row(size_t num_configs);
+    std::unique_ptr<std::once_flag[]> filled;
+    std::unique_ptr<double[]> values;
+  };
+
+  /// Row of query `q`, allocated on first touch.
+  Row& RowOf(QueryId q);
+  /// Fills cell `c` of `row` if cold; returns true when this call was the
+  /// miss.
+  bool FillCell(Row& row, QueryId q, ConfigId c);
 
   CostSource* inner_;
   size_t num_queries_ = 0;
   size_t num_configs_ = 0;
-  std::unique_ptr<std::once_flag[]> filled_;
-  std::unique_ptr<double[]> values_;
+  std::unique_ptr<std::atomic<Row*>[]> rows_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

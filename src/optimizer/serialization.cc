@@ -1,12 +1,14 @@
 #include "optimizer/serialization.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
+#include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace pdx {
 
@@ -19,24 +21,6 @@ constexpr const char* kConfigMagic = "pdx-config 1";
 // Doubles are serialized as hexfloats so selectivities round-trip exactly.
 std::string HexDouble(double v) { return StringFormat("%a", v); }
 
-Result<double> ParseDouble(const std::string& s) {
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    return Status::IOError("bad double '" + s + "'");
-  }
-  return v;
-}
-
-Result<uint64_t> ParseUint(const std::string& s) {
-  char* end = nullptr;
-  uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') {
-    return Status::IOError("bad integer '" + s + "'");
-  }
-  return v;
-}
-
 std::string JoinCsv(const std::vector<ColumnId>& ids) {
   std::string out;
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -44,17 +28,6 @@ std::string JoinCsv(const std::vector<ColumnId>& ids) {
     out += std::to_string(ids[i]);
   }
   return out.empty() ? "-" : out;
-}
-
-Result<std::vector<ColumnId>> ParseCsv(const std::string& s) {
-  std::vector<ColumnId> out;
-  if (s == "-") return out;
-  for (const std::string& piece : SplitString(s, ',')) {
-    auto v = ParseUint(piece);
-    PDX_RETURN_IF_ERROR(v.status());
-    out.push_back(static_cast<ColumnId>(*v));
-  }
-  return out;
 }
 
 std::string JoinRefs(const std::vector<ColumnRef>& refs) {
@@ -66,61 +39,186 @@ std::string JoinRefs(const std::vector<ColumnRef>& refs) {
   return out.empty() ? "-" : out;
 }
 
-Result<std::vector<ColumnRef>> ParseRefs(const std::string& s) {
-  std::vector<ColumnRef> out;
-  if (s == "-") return out;
-  for (const std::string& piece : SplitString(s, ',')) {
-    auto parts = SplitString(piece, ':');
-    if (parts.size() != 2) return Status::IOError("bad column ref '" + piece + "'");
-    auto t = ParseUint(parts[0]);
-    PDX_RETURN_IF_ERROR(t.status());
-    auto c = ParseUint(parts[1]);
-    PDX_RETURN_IF_ERROR(c.status());
-    out.push_back({static_cast<TableId>(*t), static_cast<ColumnId>(*c)});
+/// Reads a whole artifact into memory; every loader parses from one buffer.
+Result<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open '" + path + "'");
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::IOError("cannot read '" + path + "'");
+  std::string text(static_cast<size_t>(size), '\0');
+  in.seekg(0, std::ios::beg);
+  if (!in.read(text.data(), size)) {
+    return Status::IOError("cannot read '" + path + "'");
   }
-  return out;
+  return text;
 }
 
-// Tab-separated line reader with a current-line cursor for error messages.
-class LineReader {
+/// Parses all of `s` as a decimal unsigned integer of type T: digits only
+/// (no sign, no spaces), and the value must fit T.
+template <typename T>
+std::errc ParseUnsigned(std::string_view s, T* out) {
+  static_assert(std::is_unsigned_v<T>);
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  if (ec == std::errc() && ptr != end) return std::errc::invalid_argument;
+  return ec;
+}
+
+/// Parses all of `s` as a double: an optional sign, then either a `%a`
+/// hexfloat ("0x1.8p-3") or a decimal / inf / nan spelling.
+bool ParseReal(std::string_view s, double* out) {
+  bool negative = false;
+  if (!s.empty() && (s[0] == '-' || s[0] == '+')) {
+    negative = s[0] == '-';
+    s.remove_prefix(1);
+  }
+  std::chars_format format = std::chars_format::general;
+  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
+    format = std::chars_format::hex;
+    s.remove_prefix(2);
+  }
+  // from_chars takes a '-' of its own; the sign was consumed above.
+  if (s.empty() || s[0] == '-' || s[0] == '+') return false;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out, format);
+  if (ec != std::errc() || ptr != end) return false;
+  if (negative) *out = -*out;
+  return true;
+}
+
+/// Cursor over the lines of an in-memory artifact (or a slice of one).
+/// Each non-empty line is split on tabs into string_views into the buffer,
+/// reusing one field vector. Line numbers count every line, empty ones
+/// included, from `first_line`; errors carry "path:line: ".
+class RecordReader {
  public:
-  explicit LineReader(const std::string& path) : in_(path), path_(path) {}
+  RecordReader(const std::string& path, std::string_view text,
+               size_t first_line = 1)
+      : path_(path), text_(text), line_(first_line - 1) {}
 
-  bool ok() const { return in_.good() || in_.eof(); }
-  bool opened() const { return !failed_open_; }
-
-  /// Reads the next non-empty line split on tabs; false at EOF.
-  bool Next(std::vector<std::string>* fields) {
-    std::string line;
-    while (std::getline(in_, line)) {
-      ++line_no_;
+  /// Advances to the next non-empty line; false at the end of the text.
+  bool Next() {
+    while (pos_ < text_.size()) {
+      size_t nl = text_.find('\n', pos_);
+      if (nl == std::string_view::npos) nl = text_.size();
+      line_start_ = pos_;
+      const std::string_view line = text_.substr(pos_, nl - pos_);
+      pos_ = nl + 1;
+      ++line_;
       if (line.empty()) continue;
-      *fields = SplitString(line, '\t');
+      fields_.clear();
+      size_t begin = 0;
+      for (size_t tab; (tab = line.find('\t', begin)) != line.npos;
+           begin = tab + 1) {
+        fields_.push_back(line.substr(begin, tab - begin));
+      }
+      fields_.push_back(line.substr(begin));
       return true;
     }
     return false;
   }
 
-  Status Error(const std::string& message) const {
-    return Status::IOError(path_ + ":" + std::to_string(line_no_) + ": " +
-                           message);
+  size_t size() const { return fields_.size(); }
+  std::string_view operator[](size_t i) const { return fields_[i]; }
+  /// Line number and byte offset of the current record.
+  size_t line() const { return line_; }
+  size_t line_start() const { return line_start_; }
+
+  Status Error(std::string_view message) const {
+    return Status::IOError(path_ + ":" + std::to_string(line_) + ": " +
+                           std::string(message));
   }
 
-  void MarkOpenFailure() { failed_open_ = true; }
+  /// Field i as an unsigned integer (or an enum, at most `max`).
+  template <typename T>
+  Status Uint(size_t i, T* out, T max = std::numeric_limits<T>::max()) const {
+    if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw{};
+      PDX_RETURN_IF_ERROR(
+          Uint(i, &raw, static_cast<std::underlying_type_t<T>>(max)));
+      *out = static_cast<T>(raw);
+      return Status::OK();
+    } else {
+      const std::errc ec = ParseUnsigned(fields_[i], out);
+      return CheckUint(fields_[i], ec, *out <= max);
+    }
+  }
+
+  Status Real(size_t i, double* out) const {
+    if (ParseReal(fields_[i], out)) return Status::OK();
+    return Error("bad double '" + std::string(fields_[i]) + "'");
+  }
+
+  /// Field i as a comma-separated integer list; "-" is the empty list.
+  template <typename T>
+  Status List(size_t i, std::vector<T>* out) const {
+    out->clear();
+    std::string_view s = fields_[i];
+    if (s == "-") return Status::OK();
+    for (;;) {
+      const size_t comma = std::min(s.find(','), s.size());
+      const std::string_view piece = s.substr(0, comma);
+      T v{};
+      PDX_RETURN_IF_ERROR(CheckUint(piece, ParseUnsigned(piece, &v)));
+      out->push_back(v);
+      if (comma == s.size()) return Status::OK();
+      s.remove_prefix(comma + 1);
+    }
+  }
+
+  /// Field i as a comma-separated "table:column" list; "-" is empty.
+  Status Refs(size_t i, std::vector<ColumnRef>* out) const {
+    out->clear();
+    std::string_view s = fields_[i];
+    if (s == "-") return Status::OK();
+    for (;;) {
+      const size_t comma = std::min(s.find(','), s.size());
+      const std::string_view piece = s.substr(0, comma);
+      const size_t colon = piece.find(':');
+      if (colon == piece.npos || piece.find(':', colon + 1) != piece.npos) {
+        return Error("bad column ref '" + std::string(piece) + "'");
+      }
+      const std::string_view t = piece.substr(0, colon);
+      const std::string_view c = piece.substr(colon + 1);
+      ColumnRef ref;
+      PDX_RETURN_IF_ERROR(CheckUint(t, ParseUnsigned(t, &ref.table)));
+      PDX_RETURN_IF_ERROR(CheckUint(c, ParseUnsigned(c, &ref.column)));
+      out->push_back(ref);
+      if (comma == s.size()) return Status::OK();
+      s.remove_prefix(comma + 1);
+    }
+  }
 
  private:
-  std::ifstream in_;
-  std::string path_;
-  int line_no_ = 0;
-  bool failed_open_ = false;
+  Status CheckUint(std::string_view s, std::errc ec,
+                   bool in_range = true) const {
+    if (ec == std::errc::result_out_of_range || (ec == std::errc() &&
+                                                 !in_range)) {
+      return Error("integer '" + std::string(s) + "' out of range");
+    }
+    if (ec != std::errc()) return Error("bad integer '" + std::string(s) + "'");
+    return Status::OK();
+  }
+
+  const std::string& path_;
+  std::string_view text_;
+  size_t pos_ = 0;
+  size_t line_;
+  size_t line_start_ = 0;
+  std::vector<std::string_view> fields_;
 };
 
-Result<LineReader*> OpenReader(LineReader* reader, const char* magic) {
-  std::vector<std::string> fields;
-  if (!reader->Next(&fields) || fields.size() != 1 || fields[0] != magic) {
-    return reader->Error(std::string("missing header '") + magic + "'");
+/// Checks the magic line and the schema record every artifact starts with;
+/// returns the schema name the artifact was saved against.
+Result<std::string_view> ReadPreamble(RecordReader* r, const char* magic) {
+  if (!r->Next() || r->size() != 1 || (*r)[0] != magic) {
+    return r->Error(std::string("missing header '") + magic + "'");
   }
-  return reader;
+  if (!r->Next() || r->size() != 2 || (*r)[0] != "schema") {
+    return r->Error("expected schema record");
+  }
+  return (*r)[1];
 }
 
 }  // namespace
@@ -146,19 +244,13 @@ Status SaveSchema(const Schema& schema, const std::string& path) {
 }
 
 Result<Schema> LoadSchema(const std::string& path) {
-  std::ifstream probe(path);
-  if (!probe) return Status::IOError("cannot open '" + path + "'");
-  probe.close();
+  auto text = ReadFile(path);
+  PDX_RETURN_IF_ERROR(text.status());
+  RecordReader r(path, *text);
+  auto name = ReadPreamble(&r, kSchemaMagic);
+  PDX_RETURN_IF_ERROR(name.status());
 
-  LineReader reader(path);
-  auto header = OpenReader(&reader, kSchemaMagic);
-  PDX_RETURN_IF_ERROR(header.status());
-
-  std::vector<std::string> f;
-  if (!reader.Next(&f) || f.size() != 2 || f[0] != "schema") {
-    return reader.Error("expected schema record");
-  }
-  Schema schema(f[1]);
+  Schema schema{std::string(*name)};
   Table current;
   bool have_table = false;
   auto flush_table = [&]() {
@@ -166,30 +258,24 @@ Result<Schema> LoadSchema(const std::string& path) {
     current = Table();
     have_table = false;
   };
-  while (reader.Next(&f)) {
-    if (f[0] == "table") {
-      if (f.size() != 3) return reader.Error("bad table record");
+  while (r.Next()) {
+    if (r[0] == "table") {
+      if (r.size() != 3) return r.Error("bad table record");
       flush_table();
       have_table = true;
-      current.name = f[1];
-      auto rows = ParseUint(f[2]);
-      PDX_RETURN_IF_ERROR(rows.status());
-      current.row_count = *rows;
-    } else if (f[0] == "col") {
-      if (f.size() != 6 || !have_table) return reader.Error("bad col record");
-      auto type = ParseUint(f[2]);
-      PDX_RETURN_IF_ERROR(type.status());
-      auto width = ParseUint(f[3]);
-      PDX_RETURN_IF_ERROR(width.status());
-      auto ndv = ParseUint(f[4]);
-      PDX_RETURN_IF_ERROR(ndv.status());
-      auto theta = ParseDouble(f[5]);
-      PDX_RETURN_IF_ERROR(theta.status());
-      current.columns.emplace_back(f[1], static_cast<DataType>(*type),
-                                   static_cast<uint32_t>(*width), *ndv,
-                                   *theta);
+      current.name = r[1];
+      PDX_RETURN_IF_ERROR(r.Uint(2, &current.row_count));
+    } else if (r[0] == "col") {
+      if (r.size() != 6 || !have_table) return r.Error("bad col record");
+      Column c;
+      c.name = r[1];
+      PDX_RETURN_IF_ERROR(r.Uint(2, &c.type, DataType::kVarchar));
+      PDX_RETURN_IF_ERROR(r.Uint(3, &c.width_bytes));
+      PDX_RETURN_IF_ERROR(r.Uint(4, &c.num_distinct));
+      PDX_RETURN_IF_ERROR(r.Real(5, &c.zipf_theta));
+      current.columns.push_back(std::move(c));
     } else {
-      return reader.Error("unknown record '" + f[0] + "'");
+      return r.Error("unknown record '" + std::string(r[0]) + "'");
     }
   }
   flush_table();
@@ -257,155 +343,178 @@ Status SaveWorkload(const Workload& workload, const std::string& path) {
   return out ? Status::OK() : Status::IOError("write failed for '" + path + "'");
 }
 
-Result<Workload> LoadWorkload(const std::string& path, const Schema& schema) {
-  std::ifstream probe(path);
-  if (!probe) return Status::IOError("cannot open '" + path + "'");
-  probe.close();
+namespace {
 
-  LineReader reader(path);
-  auto header = OpenReader(&reader, kWorkloadMagic);
-  PDX_RETURN_IF_ERROR(header.status());
-
-  std::vector<std::string> f;
-  if (!reader.Next(&f) || f.size() != 2 || f[0] != "schema") {
-    return reader.Error("expected schema record");
-  }
-  if (f[1] != schema.name()) {
-    return Status::InvalidArgument("workload was saved against schema '" +
-                                   f[1] + "', got '" + schema.name() + "'");
-  }
-
-  Workload workload(&schema);
+/// Decodes the query records of one slice of the query section into `out`.
+/// Every slice but the last ends with an "end" line and the next starts
+/// with a "query" line, so each slice starts in the state the serial
+/// decoder would be in at that line: outside a query.
+Status DecodeQueries(RecordReader& r, size_t num_templates,
+                     std::vector<Query>* out) {
   Query query;
   bool in_query = false;
-  int current_access = -1;
-
-  while (reader.Next(&f)) {
-    const std::string& tag = f[0];
-    if (tag == "template") {
-      if (f.size() != 6) return reader.Error("bad template record");
-      QueryTemplate t;
-      t.name = f[2];
-      auto kind = ParseUint(f[3]);
-      PDX_RETURN_IF_ERROR(kind.status());
-      t.kind = static_cast<StatementKind>(*kind);
-      auto sig = ParseUint(f[4]);
-      PDX_RETURN_IF_ERROR(sig.status());
-      t.signature = *sig;
-      if (f[5] != "-") {
-        for (const std::string& piece : SplitString(f[5], ',')) {
-          auto id = ParseUint(piece);
-          PDX_RETURN_IF_ERROR(id.status());
-          t.tables.push_back(static_cast<TableId>(*id));
-        }
-      }
-      workload.AddTemplate(std::move(t));
-    } else if (tag == "query") {
-      if (f.size() != 5) return reader.Error("bad query record");
-      if (in_query) return reader.Error("query without end");
+  TableAccess* access = nullptr;
+  while (r.Next()) {
+    const std::string_view tag = r[0];
+    if (tag == "query") {
+      if (r.size() != 5) return r.Error("bad query record");
+      if (in_query) return r.Error("query without end");
       query = Query();
       in_query = true;
-      current_access = -1;
-      auto tmpl = ParseUint(f[2]);
-      PDX_RETURN_IF_ERROR(tmpl.status());
-      query.template_id = static_cast<TemplateId>(*tmpl);
-      auto kind = ParseUint(f[3]);
-      PDX_RETURN_IF_ERROR(kind.status());
-      query.kind = static_cast<StatementKind>(*kind);
-      auto overhead = ParseDouble(f[4]);
-      PDX_RETURN_IF_ERROR(overhead.status());
-      query.optimize_overhead = *overhead;
-    } else if (tag == "access") {
-      if (f.size() != 3 || !in_query) return reader.Error("bad access record");
-      TableAccess a;
-      auto table = ParseUint(f[1]);
-      PDX_RETURN_IF_ERROR(table.status());
-      a.table = static_cast<TableId>(*table);
-      auto refs = ParseCsv(f[2]);
-      PDX_RETURN_IF_ERROR(refs.status());
-      a.referenced_columns = *refs;
-      query.select.accesses.push_back(std::move(a));
-      current_access = static_cast<int>(query.select.accesses.size()) - 1;
-    } else if (tag == "pred") {
-      if (f.size() != 8 || current_access < 0) {
-        return reader.Error("bad pred record");
+      access = nullptr;
+      PDX_RETURN_IF_ERROR(r.Uint(2, &query.template_id));
+      if (query.template_id >= num_templates) {
+        return r.Error("query template id " +
+                       std::to_string(query.template_id) +
+                       " not registered (" + std::to_string(num_templates) +
+                       " templates)");
       }
-      Predicate p;
-      auto t = ParseUint(f[1]);
-      PDX_RETURN_IF_ERROR(t.status());
-      auto c = ParseUint(f[2]);
-      PDX_RETURN_IF_ERROR(c.status());
-      p.column = {static_cast<TableId>(*t), static_cast<ColumnId>(*c)};
-      auto op = ParseUint(f[3]);
-      PDX_RETURN_IF_ERROR(op.status());
-      p.op = static_cast<PredOp>(*op);
-      auto sel = ParseDouble(f[4]);
-      PDX_RETURN_IF_ERROR(sel.status());
-      p.selectivity = *sel;
-      p.sargable = f[5] == "1";
-      auto rank = ParseUint(f[6]);
-      PDX_RETURN_IF_ERROR(rank.status());
-      p.value_rank = *rank;
-      auto frac = ParseDouble(f[7]);
-      PDX_RETURN_IF_ERROR(frac.status());
-      p.domain_fraction = *frac;
-      query.select.accesses[current_access].predicates.push_back(p);
+      PDX_RETURN_IF_ERROR(r.Uint(3, &query.kind, StatementKind::kDelete));
+      PDX_RETURN_IF_ERROR(r.Real(4, &query.optimize_overhead));
+    } else if (tag == "access") {
+      if (r.size() != 3 || !in_query) return r.Error("bad access record");
+      TableAccess& a = query.select.accesses.emplace_back();
+      PDX_RETURN_IF_ERROR(r.Uint(1, &a.table));
+      PDX_RETURN_IF_ERROR(r.List(2, &a.referenced_columns));
+      access = &a;
+    } else if (tag == "pred") {
+      if (r.size() != 8 || access == nullptr) {
+        return r.Error("bad pred record");
+      }
+      Predicate& p = access->predicates.emplace_back();
+      PDX_RETURN_IF_ERROR(r.Uint(1, &p.column.table));
+      PDX_RETURN_IF_ERROR(r.Uint(2, &p.column.column));
+      PDX_RETURN_IF_ERROR(r.Uint(3, &p.op, PredOp::kIn));
+      PDX_RETURN_IF_ERROR(r.Real(4, &p.selectivity));
+      p.sargable = r[5] == "1";
+      PDX_RETURN_IF_ERROR(r.Uint(6, &p.value_rank));
+      PDX_RETURN_IF_ERROR(r.Real(7, &p.domain_fraction));
     } else if (tag == "join") {
-      if (f.size() != 5 || !in_query) return reader.Error("bad join record");
-      JoinEdge j;
-      auto l = ParseUint(f[1]);
-      PDX_RETURN_IF_ERROR(l.status());
-      auto r = ParseUint(f[2]);
-      PDX_RETURN_IF_ERROR(r.status());
-      auto lc = ParseUint(f[3]);
-      PDX_RETURN_IF_ERROR(lc.status());
-      auto rc = ParseUint(f[4]);
-      PDX_RETURN_IF_ERROR(rc.status());
-      j.left_access = static_cast<uint32_t>(*l);
-      j.right_access = static_cast<uint32_t>(*r);
-      j.left_column = static_cast<ColumnId>(*lc);
-      j.right_column = static_cast<ColumnId>(*rc);
-      query.select.joins.push_back(j);
+      if (r.size() != 5 || !in_query) return r.Error("bad join record");
+      JoinEdge& j = query.select.joins.emplace_back();
+      PDX_RETURN_IF_ERROR(r.Uint(1, &j.left_access));
+      PDX_RETURN_IF_ERROR(r.Uint(2, &j.right_access));
+      PDX_RETURN_IF_ERROR(r.Uint(3, &j.left_column));
+      PDX_RETURN_IF_ERROR(r.Uint(4, &j.right_column));
     } else if (tag == "groupby") {
-      if (f.size() != 2 || !in_query) return reader.Error("bad groupby");
-      auto refs = ParseRefs(f[1]);
-      PDX_RETURN_IF_ERROR(refs.status());
-      query.select.group_by = *refs;
+      if (r.size() != 2 || !in_query) return r.Error("bad groupby");
+      PDX_RETURN_IF_ERROR(r.Refs(1, &query.select.group_by));
     } else if (tag == "orderby") {
-      if (f.size() != 2 || !in_query) return reader.Error("bad orderby");
-      auto refs = ParseRefs(f[1]);
-      PDX_RETURN_IF_ERROR(refs.status());
-      query.select.order_by = *refs;
+      if (r.size() != 2 || !in_query) return r.Error("bad orderby");
+      PDX_RETURN_IF_ERROR(r.Refs(1, &query.select.order_by));
     } else if (tag == "agg") {
-      if (f.size() != 2 || !in_query) return reader.Error("bad agg");
-      auto n = ParseUint(f[1]);
-      PDX_RETURN_IF_ERROR(n.status());
-      query.select.num_aggregates = static_cast<uint32_t>(*n);
+      if (r.size() != 2 || !in_query) return r.Error("bad agg");
+      PDX_RETURN_IF_ERROR(r.Uint(1, &query.select.num_aggregates));
     } else if (tag == "update") {
-      if (f.size() != 5 || !in_query) return reader.Error("bad update");
-      UpdateSpec u;
-      auto t = ParseUint(f[1]);
-      PDX_RETURN_IF_ERROR(t.status());
-      u.table = static_cast<TableId>(*t);
-      auto kind = ParseUint(f[2]);
-      PDX_RETURN_IF_ERROR(kind.status());
-      u.kind = static_cast<StatementKind>(*kind);
-      auto sel = ParseDouble(f[3]);
-      PDX_RETURN_IF_ERROR(sel.status());
-      u.selectivity = *sel;
-      auto cols = ParseCsv(f[4]);
-      PDX_RETURN_IF_ERROR(cols.status());
-      u.set_columns = *cols;
-      query.update = std::move(u);
+      if (r.size() != 5 || !in_query) return r.Error("bad update");
+      UpdateSpec& u = query.update.emplace();
+      PDX_RETURN_IF_ERROR(r.Uint(1, &u.table));
+      PDX_RETURN_IF_ERROR(r.Uint(2, &u.kind, StatementKind::kDelete));
+      PDX_RETURN_IF_ERROR(r.Real(3, &u.selectivity));
+      PDX_RETURN_IF_ERROR(r.List(4, &u.set_columns));
     } else if (tag == "end") {
-      if (!in_query) return reader.Error("end without query");
-      workload.AddQuery(std::move(query));
+      if (!in_query) return r.Error("end without query");
+      out->push_back(std::move(query));
       in_query = false;
+      access = nullptr;
+    } else if (tag == "template") {
+      return r.Error("template record after the first query record");
     } else {
-      return reader.Error("unknown record '" + tag + "'");
+      return r.Error("unknown record '" + std::string(tag) + "'");
     }
   }
-  if (in_query) return reader.Error("truncated file: query without end");
+  if (in_query) return r.Error("truncated file: query without end");
+  return Status::OK();
+}
+
+/// Byte offsets where the query section is cut for parallel decoding: the
+/// first "end" line / "query" line boundary at least kWorkloadChunkBytes
+/// past the previous cut. Depends on the text only, never on the thread
+/// count.
+std::vector<size_t> ChunkStarts(std::string_view section) {
+  static constexpr std::string_view kCut = "\nend\nquery\t";
+  std::vector<size_t> starts = {0};
+  for (size_t hit; (hit = section.find(kCut, starts.back() +
+                                               kWorkloadChunkBytes)) !=
+                   section.npos;) {
+    starts.push_back(hit + 5);  // just past "\nend\n"
+  }
+  return starts;
+}
+
+}  // namespace
+
+Result<Workload> LoadWorkload(const std::string& path, const Schema& schema) {
+  auto text = ReadFile(path);
+  PDX_RETURN_IF_ERROR(text.status());
+  RecordReader r(path, *text);
+  auto name = ReadPreamble(&r, kWorkloadMagic);
+  PDX_RETURN_IF_ERROR(name.status());
+  if (*name != schema.name()) {
+    return Status::InvalidArgument("workload was saved against schema '" +
+                                   std::string(*name) + "', got '" +
+                                   schema.name() + "'");
+  }
+
+  // Templates, serially: they all precede the first query record, so the
+  // query decoder below knows every valid template id.
+  Workload workload(&schema);
+  bool more = r.Next();
+  for (; more && r[0] == "template"; more = r.Next()) {
+    if (r.size() != 6) return r.Error("bad template record");
+    QueryTemplate t;
+    t.name = r[2];
+    PDX_RETURN_IF_ERROR(r.Uint(3, &t.kind, StatementKind::kDelete));
+    PDX_RETURN_IF_ERROR(r.Uint(4, &t.signature));
+    PDX_RETURN_IF_ERROR(r.List(5, &t.tables));
+    workload.AddTemplate(std::move(t));
+  }
+  if (!more) return workload;  // no queries: nothing to validate
+
+  // Query bodies, in parallel: the section from the first non-template
+  // record on is cut into chunks that are decoded independently and
+  // appended in file order, so the result does not depend on the thread
+  // count, and the first failing chunk holds the first error in the file.
+  const std::string_view section =
+      std::string_view(*text).substr(r.line_start());
+  const std::vector<size_t> starts = ChunkStarts(section);
+  const size_t num_chunks = starts.size();
+  auto chunk_text = [&](size_t i) {
+    const size_t end = i + 1 < num_chunks ? starts[i + 1] : section.size();
+    return section.substr(starts[i], end - starts[i]);
+  };
+  // First line number of each chunk: a prefix sum of per-chunk newlines.
+  std::vector<size_t> first_line(num_chunks + 1, 0);
+  GlobalThreadPool().ParallelFor(0, num_chunks, 1, [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      const std::string_view c = chunk_text(i);
+      first_line[i + 1] =
+          static_cast<size_t>(std::count(c.begin(), c.end(), '\n'));
+    }
+  });
+  first_line[0] = r.line();
+  for (size_t i = 0; i < num_chunks; ++i) first_line[i + 1] += first_line[i];
+
+  const size_t num_templates = workload.num_templates();
+  std::vector<std::vector<Query>> decoded(num_chunks);
+  std::vector<Status> status(num_chunks);
+  GlobalThreadPool().ParallelFor(0, num_chunks, 1, [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      RecordReader chunk(path, chunk_text(i), first_line[i]);
+      status[i] = DecodeQueries(chunk, num_templates, &decoded[i]);
+    }
+  });
+
+  size_t total = 0;
+  for (size_t i = 0; i < num_chunks; ++i) {
+    PDX_RETURN_IF_ERROR(status[i]);
+    total += decoded[i].size();
+  }
+  workload.Reserve(total);
+  for (std::vector<Query>& chunk : decoded) {
+    for (Query& q : chunk) workload.AddQuery(std::move(q));
+    std::vector<Query>().swap(chunk);
+  }
   PDX_RETURN_IF_ERROR(workload.Validate());
   return workload;
 }
@@ -447,79 +556,49 @@ Status SaveConfiguration(const Configuration& config, const Schema& schema,
 
 Result<Configuration> LoadConfiguration(const std::string& path,
                                         const Schema& schema) {
-  std::ifstream probe(path);
-  if (!probe) return Status::IOError("cannot open '" + path + "'");
-  probe.close();
-
-  LineReader reader(path);
-  auto header = OpenReader(&reader, kConfigMagic);
-  PDX_RETURN_IF_ERROR(header.status());
-
-  std::vector<std::string> f;
-  if (!reader.Next(&f) || f.size() != 2 || f[0] != "schema") {
-    return reader.Error("expected schema record");
-  }
-  if (f[1] != schema.name()) {
+  auto text = ReadFile(path);
+  PDX_RETURN_IF_ERROR(text.status());
+  RecordReader r(path, *text);
+  auto name = ReadPreamble(&r, kConfigMagic);
+  PDX_RETURN_IF_ERROR(name.status());
+  if (*name != schema.name()) {
     return Status::InvalidArgument("configuration was saved against schema '" +
-                                   f[1] + "', got '" + schema.name() + "'");
+                                   std::string(*name) + "', got '" +
+                                   schema.name() + "'");
   }
-  if (!reader.Next(&f) || f.size() != 2 || f[0] != "name") {
-    return reader.Error("expected name record");
+  if (!r.Next() || r.size() != 2 || r[0] != "name") {
+    return r.Error("expected name record");
   }
-  Configuration config(f[1] == "-" ? "" : f[1]);
+  Configuration config(r[1] == "-" ? "" : std::string(r[1]));
 
-  while (reader.Next(&f)) {
-    if (f[0] == "index") {
-      if (f.size() != 4) return reader.Error("bad index record");
+  while (r.Next()) {
+    if (r[0] == "index") {
+      if (r.size() != 4) return r.Error("bad index record");
       Index i;
-      auto table = ParseUint(f[1]);
-      PDX_RETURN_IF_ERROR(table.status());
-      i.table = static_cast<TableId>(*table);
+      PDX_RETURN_IF_ERROR(r.Uint(1, &i.table));
       if (i.table >= schema.num_tables()) {
-        return reader.Error("index table out of range");
+        return r.Error("index table out of range");
       }
-      auto keys = ParseCsv(f[2]);
-      PDX_RETURN_IF_ERROR(keys.status());
-      i.key_columns = *keys;
-      auto incl = ParseCsv(f[3]);
-      PDX_RETURN_IF_ERROR(incl.status());
-      i.include_columns = *incl;
+      PDX_RETURN_IF_ERROR(r.List(2, &i.key_columns));
+      PDX_RETURN_IF_ERROR(r.List(3, &i.include_columns));
       for (ColumnId c : i.key_columns) {
         if (c >= schema.table(i.table).columns.size()) {
-          return reader.Error("index key column out of range");
+          return r.Error("index key column out of range");
         }
       }
       config.AddIndex(std::move(i));
-    } else if (f[0] == "view") {
-      if (f.size() != 7) return reader.Error("bad view record");
+    } else if (r[0] == "view") {
+      if (r.size() != 7) return r.Error("bad view record");
       MaterializedView v;
-      v.name = f[1] == "-" ? "" : f[1];
-      auto rows = ParseUint(f[2]);
-      PDX_RETURN_IF_ERROR(rows.status());
-      v.row_count = *rows;
-      if (f[3] != "-") {
-        for (const std::string& piece : SplitString(f[3], ',')) {
-          auto id = ParseUint(piece);
-          PDX_RETURN_IF_ERROR(id.status());
-          v.tables.push_back(static_cast<TableId>(*id));
-        }
-      }
-      if (f[4] != "-") {
-        for (const std::string& piece : SplitString(f[4], ',')) {
-          auto sig = ParseUint(piece);
-          PDX_RETURN_IF_ERROR(sig.status());
-          v.join_signature.push_back(*sig);
-        }
-      }
-      auto group = ParseRefs(f[5]);
-      PDX_RETURN_IF_ERROR(group.status());
-      v.group_by = *group;
-      auto exposed = ParseRefs(f[6]);
-      PDX_RETURN_IF_ERROR(exposed.status());
-      v.exposed_columns = *exposed;
+      if (r[1] != "-") v.name = r[1];
+      PDX_RETURN_IF_ERROR(r.Uint(2, &v.row_count));
+      PDX_RETURN_IF_ERROR(r.List(3, &v.tables));
+      PDX_RETURN_IF_ERROR(r.List(4, &v.join_signature));
+      PDX_RETURN_IF_ERROR(r.Refs(5, &v.group_by));
+      PDX_RETURN_IF_ERROR(r.Refs(6, &v.exposed_columns));
       config.AddView(std::move(v));
     } else {
-      return reader.Error("unknown record '" + f[0] + "'");
+      return r.Error("unknown record '" + std::string(r[0]) + "'");
     }
   }
   return config;

@@ -13,6 +13,7 @@
 // from a reloaded workload are bit-identical.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "catalog/schema.h"
@@ -29,8 +30,15 @@ Result<Schema> LoadSchema(const std::string& path);
 /// Serializes a workload (templates and full query IR). The schema is
 /// referenced by name and validated on load.
 Status SaveWorkload(const Workload& workload, const std::string& path);
-/// `schema` must outlive the returned workload.
+/// `schema` must outlive the returned workload. Every template record must
+/// precede the first query record (SaveWorkload writes them that way).
+/// Query records are decoded in parallel on GlobalThreadPool(); the result,
+/// and the first error in file order, do not depend on the thread count.
 Result<Workload> LoadWorkload(const std::string& path, const Schema& schema);
+
+/// LoadWorkload cuts the query records into chunks of at least this many
+/// bytes, each ending at an "end" line, and decodes the chunks in parallel.
+inline constexpr size_t kWorkloadChunkBytes = size_t{1} << 17;
 
 /// Serializes a configuration (indexes and materialized views).
 Status SaveConfiguration(const Configuration& config, const Schema& schema,

@@ -20,8 +20,11 @@ class Workload {
     PDX_CHECK(schema != nullptr);
   }
 
-  /// Appends a query, assigning its id; registers its template if new.
+  /// Appends a query, assigning its id. Its template must be registered.
   QueryId AddQuery(Query query);
+
+  /// Reserves room for `n` queries in total.
+  void Reserve(size_t n) { queries_.reserve(n); }
 
   /// Registers a template; returns its id. Templates must be registered
   /// before queries referencing them are added.

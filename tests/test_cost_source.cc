@@ -1,6 +1,8 @@
 // Copyright (c) the pdexplore authors.
 // Cost-source accounting: CachingCostSource hit/miss bookkeeping (exactly
-// one underlying optimizer call per distinct pair, serial and parallel),
+// one underlying optimizer call per distinct pair, serial and parallel,
+// including racing first touches of a lazily allocated row, and the same
+// counts through every entry point),
 // the MatrixCostSource empty-matrix num_configs fix, and atomicity of the
 // call counters under concurrent Cost() calls.
 #include "core/cost_source.h"
@@ -260,6 +262,102 @@ TEST(CachingCostSourceTest, ConcurrentCostManyMakesExactlyOneCallPerPair) {
   EXPECT_EQ(inner.num_calls(), 16u * 4u);
   EXPECT_EQ(cache.num_misses(), 16u * 4u);
   EXPECT_EQ(cache.num_hits() + cache.num_misses(), 16u * 1000u);
+}
+
+TEST(CachingCostSourceTest, ConcurrentFirstTouchOfARowFillsEachCellOnce) {
+  MatrixCostSource inner = SyntheticMatrix(64, 8, 4, 0.1, 31);
+  const std::vector<ConfigId> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<ConfigId> odd = {1, 3, 5, 7};
+  ThreadPool pool(4);
+  // A fresh cache per round, so every round races the row installs: all
+  // workers first-touch the same few rows at once, through all three entry
+  // points. Query 9 is only ever priced at odd configs, query 11 only
+  // through CostMany at config 2.
+  for (int round = 0; round < 20; ++round) {
+    CachingCostSource cache(&inner);
+    inner.ResetCallCounter();
+    std::atomic<int> mismatches{0};
+    pool.ParallelFor(0, 64, 1, [&](size_t begin, size_t end) {
+      std::vector<double> row(8, 0.0);
+      std::vector<double> half(4, 0.0);
+      const std::vector<QueryId> many = {11, 7, 11};
+      std::vector<double> col(3, 0.0);
+      for (size_t i = begin; i < end; ++i) {
+        const QueryId q = static_cast<QueryId>(i % 2 == 0 ? 7 : 8);
+        cache.CostAcross(q, all, row);
+        for (size_t k = 0; k < all.size(); ++k) {
+          if (row[k] != inner.Column(all[k])[q]) mismatches.fetch_add(1);
+        }
+        cache.CostAcross(9, odd, half);
+        if (cache.Cost(q, static_cast<ConfigId>(i % 8)) !=
+            inner.Column(static_cast<ConfigId>(i % 8))[q]) {
+          mismatches.fetch_add(1);
+        }
+        cache.CostMany(many, 2, col);
+      }
+    });
+    EXPECT_EQ(mismatches.load(), 0);
+    // Distinct cells touched: 8 + 8 (queries 7, 8) + 4 (query 9) + 1 (11).
+    EXPECT_EQ(cache.num_misses(), 21u);
+    EXPECT_EQ(inner.num_calls(), 21u);
+    EXPECT_EQ(cache.num_hits() + cache.num_misses(), 64u * (8 + 4 + 1 + 3));
+  }
+}
+
+TEST(CachingCostSourceTest, EmptyShapes) {
+  // No queries: construction allocates nothing and nothing can be priced.
+  MatrixCostSource no_queries({}, {}, 5);
+  CachingCostSource empty(&no_queries);
+  EXPECT_EQ(empty.num_queries(), 0u);
+  EXPECT_EQ(empty.num_configs(), 5u);
+  std::vector<double> none;
+  empty.CostMany({}, 4, none);
+  EXPECT_EQ(empty.num_misses() + empty.num_hits(), 0u);
+
+  // No configurations: an empty row sweep is a no-op, not a miss or hit.
+  MatrixCostSource no_configs({{}, {}, {}}, {0, 0, 1});
+  CachingCostSource cache(&no_configs);
+  EXPECT_EQ(cache.num_queries(), 3u);
+  EXPECT_EQ(cache.num_configs(), 0u);
+  for (QueryId q = 0; q < 3; ++q) cache.CostAcross(q, {}, none);
+  EXPECT_EQ(cache.num_misses(), 0u);
+  EXPECT_EQ(cache.num_hits(), 0u);
+  EXPECT_EQ(no_configs.num_calls(), 0u);
+}
+
+TEST(CachingCostSourceTest, AccountingIsTheSameThroughEveryEntryPoint) {
+  // The same sequence of (query, config) lookups through Cost, CostMany
+  // and CostAcross yields the same values, hits and misses.
+  MatrixCostSource inner = SyntheticMatrix(10, 4, 3, 0.1, 37);
+  const std::vector<QueryId> qs = {3, 1, 3, 9, 1};
+  const std::vector<ConfigId> cs = {2, 0, 2};
+  CachingCostSource scalar(&inner);
+  CachingCostSource many(&inner);
+  CachingCostSource across(&inner);
+  std::vector<double> a, b, c;
+  for (ConfigId cfg : cs) {
+    for (QueryId q : qs) a.push_back(scalar.Cost(q, cfg));
+    std::vector<double> col(qs.size());
+    many.CostMany(qs, cfg, col);
+    b.insert(b.end(), col.begin(), col.end());
+  }
+  // CostAcross sweeps query-major; replay the same cells in that order and
+  // compare per cell.
+  std::vector<double> row(cs.size());
+  std::vector<double> c_by_cell(qs.size() * cs.size());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    across.CostAcross(qs[i], cs, row);
+    for (size_t k = 0; k < cs.size(); ++k) {
+      c_by_cell[k * qs.size() + i] = row[k];
+    }
+  }
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, c_by_cell);
+  // 3 distinct queries x 2 distinct configs = 6 misses of 15 lookups.
+  for (const CachingCostSource* src : {&scalar, &many, &across}) {
+    EXPECT_EQ(src->num_misses(), 6u);
+    EXPECT_EQ(src->num_hits(), 9u);
+  }
 }
 
 TEST(WhatIfOptimizerTest, CallCountersAreAtomicUnderParallelCost) {

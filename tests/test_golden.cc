@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace pdx {
 namespace {
 
@@ -66,9 +68,7 @@ TEST(GoldenCaseTest, CheckedInGoldensMatchTheTree) {
 }
 
 TEST(GoldenCaseTest, RegenerationRoundTripsThroughATempDir) {
-  std::string dir = ::testing::TempDir() + "/pdx_golden_roundtrip";
-  std::string cmd = "mkdir -p '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  std::string dir = pdx::testing::ProcessTempDir("pdx_golden_roundtrip");
   ASSERT_EQ(setenv("PDX_GOLDEN_DIR", dir.c_str(), 1), 0);
   EXPECT_EQ(GoldenDir(), dir);
   Status st = RegenerateGoldens();
@@ -82,9 +82,7 @@ TEST(GoldenCaseTest, RegenerationRoundTripsThroughATempDir) {
 TEST(GoldenCaseTest, ComparatorReportsTheFirstDifferingLine) {
   // Point the comparator at a doctored copy of a real golden and check
   // the diagnostic carries the line number and both sides.
-  std::string dir = ::testing::TempDir() + "/pdx_golden_diff";
-  std::string cmd = "mkdir -p '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  std::string dir = pdx::testing::ProcessTempDir("pdx_golden_diff");
   ASSERT_EQ(setenv("PDX_GOLDEN_DIR", dir.c_str(), 1), 0);
   const std::string name = GoldenCaseNames()[0];
   std::string content = NormalizeTraceText(ProduceGoldenContent(name));

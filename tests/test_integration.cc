@@ -14,6 +14,7 @@
 namespace pdx {
 namespace {
 
+using testing::ProcessTempDir;
 using testing::SmallCrmSchema;
 using testing::SmallCrmTrace;
 using testing::SmallTpcdSchema;
@@ -159,7 +160,7 @@ TEST(IntegrationStoreTest, WorkloadRoundTripsThroughStore) {
   // trace -> SQL text -> on-disk store -> signature-consistent reload.
   Schema schema = SmallTpcdSchema();
   Workload wl = SmallTpcdWorkload(schema, 120);
-  std::string path = ::testing::TempDir() + "/integration_store.wl";
+  std::string path = ProcessTempDir("pdx_integration") + "/store.wl";
   {
     auto store = WorkloadStore::Create(path);
     ASSERT_TRUE(store.ok());

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "optimizer/serialization.h"
 #include "service/protocol.h"
 #include "service/warm_state.h"
+#include "test_util.h"
 #include "tuner/enumerator.h"
 #include "workload/tpcd_qgen.h"
 
@@ -37,9 +37,7 @@ namespace {
 /// Writes a small `pdx_tool gen`-layout catalog and returns its dir.
 std::string GenCatalog(const std::string& name, uint32_t queries,
                        uint32_t num_configs, uint64_t seed) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  std::string dir = pdx::testing::ProcessTempDir(name);
   Schema schema = MakeTpcdSchema();
   TpcdWorkloadOptions wopt;
   wopt.num_queries = queries;

@@ -1,11 +1,18 @@
 // Copyright (c) the pdexplore authors.
 // Shared fixtures and helpers for the test suite: small deterministic
-// schemas, workloads and cost matrices.
+// schemas, workloads and cost matrices, and per-process temp dirs.
 #pragma once
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "catalog/crm_schema.h"
 #include "catalog/tpcd_schema.h"
@@ -15,6 +22,30 @@
 #include "workload/tpcd_qgen.h"
 
 namespace pdx::testing {
+
+/// A fresh, empty directory under the test temp dir, named after `name` and
+/// this process's pid, and removed when the process exits. ctest runs every
+/// case as its own process, in parallel under -j, so a fixed path shared by
+/// several cases would be regenerated under a concurrent reader.
+inline std::string ProcessTempDir(const std::string& name) {
+  struct Owned {
+    std::vector<std::string> dirs;
+    ~Owned() {
+      std::error_code ec;
+      for (const std::string& d : dirs) std::filesystem::remove_all(d, ec);
+    }
+  };
+  static Owned owned;
+  std::string dir =
+      ::testing::TempDir() + "/" + name + "_" + std::to_string(getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  if (std::find(owned.dirs.begin(), owned.dirs.end(), dir) ==
+      owned.dirs.end()) {
+    owned.dirs.push_back(dir);
+  }
+  return dir;
+}
 
 /// A small (scale 0.05) TPC-D schema — fast to cost, same shape.
 inline Schema SmallTpcdSchema() {
