@@ -297,6 +297,8 @@ DeltaEstimator::DeltaEstimator(
   raw_.Assign(num_templates * num_configs);
   diff_.Assign(num_templates * num_configs);
   diff_uncertainty_.assign(num_templates * num_configs, 0.0);
+  raw_merged_.pending_flag.assign(num_templates, 0);
+  diff_merged_.pending_flag.assign(num_templates, 0);
   // Sampling is without replacement, so the record store can never exceed
   // the workload population; reserving the (8-byte) records up front caps
   // that vector at exactly the bound. The flat cost arena is NOT
@@ -315,6 +317,8 @@ void DeltaEstimator::Add(QueryId qid, TemplateId tmpl,
   PDX_CHECK(uncertainties.empty() || uncertainties.size() == num_configs_);
   PDX_CHECK(tmpl < template_counts_.size());
   template_counts_[tmpl] += 1;
+  raw_merged_.MarkTemplate(tmpl);
+  diff_merged_.MarkTemplate(tmpl);
   double ref_cost = costs[reference_];
   PDX_CHECK_MSG(!std::isnan(ref_cost), "reference config not evaluated");
   double ref_u = uncertainties.empty() ? 0.0 : uncertainties[reference_];
@@ -366,6 +370,7 @@ void DeltaEstimator::SetReference(ConfigId reference) {
 }
 
 void DeltaEstimator::RebuildDiffMoments() {
+  diff_merged_.version = 0;  // every stratum's diff lanes change
   diff_.ResetAll();
   for (auto& u : diff_uncertainty_) u = 0.0;
   const bool have_uncerts = !sample_uncerts_.empty();
@@ -447,7 +452,7 @@ double DeltaEstimator::DiffVariance(ConfigId j,
 
 namespace {
 
-/// Lanewise Pébay merge of one template row into the scratch accumulators,
+/// Lanewise Pébay merge of one template row into a stratum's accumulators,
 /// over the contiguous config dimension. Per lane this performs exactly
 /// the arithmetic of RunningMoments::Merge (same expression trees, same
 /// order), with the two empty-side early-outs expressed as selects — the
@@ -475,8 +480,55 @@ inline void MergeRowLanewise(const double* src_n, const double* src_mean,
 
 }  // namespace
 
+void DeltaEstimator::Sync(const Stratification& strat, const MomentSoA& src,
+                          const std::vector<double>* uncert,
+                          StratumMerge* merged) const {
+  const size_t num_strata = strat.num_strata();
+  if (merged->version == strat.version()) {
+    if (merged->pending.empty()) return;
+    PDX_CHECK(merged->stale.size() == num_strata);  // versions imply shape
+    std::fill(merged->stale.begin(), merged->stale.end(), 0);
+    for (TemplateId t : merged->pending) merged->stale[strat.StratumOf(t)] = 1;
+  } else {
+    // New partition (or invalidated lanes): size for it and re-merge all.
+    const size_t lanes = num_strata * num_configs_;
+    merged->n.resize(lanes);
+    merged->mean.resize(lanes);
+    merged->m2.resize(lanes);
+    if (uncert != nullptr) merged->usum.resize(lanes);
+    merged->stale.assign(num_strata, 1);
+    merged->version = strat.version();
+  }
+  for (TemplateId t : merged->pending) merged->pending_flag[t] = 0;
+  merged->pending.clear();
+
+  const size_t k = num_configs_;
+  for (uint32_t h = 0; h < num_strata; ++h) {
+    if (merged->stale[h] == 0) continue;
+    double* acc_n = merged->n.data() + h * k;
+    double* acc_mean = merged->mean.data() + h * k;
+    double* acc_m2 = merged->m2.data() + h * k;
+    double* usum = uncert != nullptr ? merged->usum.data() + h * k : nullptr;
+    std::fill_n(acc_n, k, 0.0);
+    std::fill_n(acc_mean, k, 0.0);
+    std::fill_n(acc_m2, k, 0.0);
+    if (usum != nullptr) std::fill_n(usum, k, 0.0);
+    // Config-contiguous inner loop, templates in TemplatesOf(h) order —
+    // the scalar oracles' merge order, so every lane is bit-identical to
+    // their merged RunningMoments.
+    for (TemplateId t : strat.TemplatesOf(h)) {
+      const size_t base = CellOf(t, 0);
+      MergeRowLanewise(src.n.data() + base, src.mean.data() + base,
+                       src.m2.data() + base, acc_n, acc_mean, acc_m2, k);
+      if (usum != nullptr) {
+        const double* u_row = uncert->data() + base;
+        for (size_t c = 0; c < k; ++c) usum[c] += u_row[c];
+      }
+    }
+  }
+}
+
 void DeltaEstimator::DiffStats(const Stratification& strat,
-                               EstimatorScratch* scratch,
                                std::span<double> diff_out,
                                std::span<double> var_out) const {
   // Called once per selector round; span decimated by call index (the
@@ -485,33 +537,19 @@ void DeltaEstimator::DiffStats(const Stratification& strat,
   obs::SpanScope kernel_span(
       obs::TimingEnabled() && obs::SampledSpanRound(diff_stats_calls++),
       "diff_stats", "estimator");
-  PDX_CHECK(scratch != nullptr);
   PDX_CHECK(diff_out.size() == num_configs_);
   PDX_CHECK(var_out.size() == num_configs_);
-  scratch->Prepare(num_configs_);
+  Sync(strat, diff_, &diff_uncertainty_, &diff_merged_);
   const size_t k = num_configs_;
-  double* acc_n = scratch->n.data();
-  double* acc_mean = scratch->mean.data();
-  double* acc_m2 = scratch->m2.data();
-  double* usum = scratch->sums.data();
   std::fill(diff_out.begin(), diff_out.end(), 0.0);
   std::fill(var_out.begin(), var_out.end(), 0.0);
+  // Replay the cached stratum totals in stratum order: the same sums, in
+  // the same order, as the scalar DiffEstimate/DiffVariance loops.
   for (uint32_t h = 0; h < strat.num_strata(); ++h) {
-    std::fill_n(acc_n, k, 0.0);
-    std::fill_n(acc_mean, k, 0.0);
-    std::fill_n(acc_m2, k, 0.0);
-    std::fill_n(usum, k, 0.0);
-    // Per-stratum merge, config-contiguous inner loop: each config's
-    // merged state is built in the same template order as the scalar
-    // DiffEstimate/DiffVariance pair, so means and variances derived from
-    // it are bit-identical — computed once here instead of twice there.
-    for (TemplateId t : strat.TemplatesOf(h)) {
-      const size_t base = CellOf(t, 0);
-      MergeRowLanewise(diff_.n.data() + base, diff_.mean.data() + base,
-                       diff_.m2.data() + base, acc_n, acc_mean, acc_m2, k);
-      const double* u_row = diff_uncertainty_.data() + base;
-      for (size_t c = 0; c < k; ++c) usum[c] += u_row[c];
-    }
+    const double* acc_n = diff_merged_.n.data() + h * k;
+    const double* acc_mean = diff_merged_.mean.data() + h * k;
+    const double* acc_m2 = diff_merged_.m2.data() + h * k;
+    const double* usum = diff_merged_.usum.data() + h * k;
     const double pop = static_cast<double>(strat.PopulationOf(h));
     const uint64_t pop_u = strat.PopulationOf(h);
     for (size_t c = 0; c < k; ++c) {
@@ -525,29 +563,18 @@ void DeltaEstimator::DiffStats(const Stratification& strat,
 }
 
 void DeltaEstimator::Estimates(const Stratification& strat,
-                               EstimatorScratch* scratch,
                                std::span<double> out) const {
   thread_local uint64_t estimates_calls = 0;  // decimated as in DiffStats
   obs::SpanScope kernel_span(
       obs::TimingEnabled() && obs::SampledSpanRound(estimates_calls++),
       "estimates", "estimator");
-  PDX_CHECK(scratch != nullptr);
   PDX_CHECK(out.size() == num_configs_);
-  scratch->Prepare(num_configs_);
+  Sync(strat, raw_, nullptr, &raw_merged_);
   const size_t k = num_configs_;
-  double* acc_n = scratch->n.data();
-  double* acc_mean = scratch->mean.data();
-  double* acc_m2 = scratch->m2.data();
   std::fill(out.begin(), out.end(), 0.0);
   for (uint32_t h = 0; h < strat.num_strata(); ++h) {
-    std::fill_n(acc_n, k, 0.0);
-    std::fill_n(acc_mean, k, 0.0);
-    std::fill_n(acc_m2, k, 0.0);
-    for (TemplateId t : strat.TemplatesOf(h)) {
-      const size_t base = CellOf(t, 0);
-      MergeRowLanewise(raw_.n.data() + base, raw_.mean.data() + base,
-                       raw_.m2.data() + base, acc_n, acc_mean, acc_m2, k);
-    }
+    const double* acc_n = raw_merged_.n.data() + h * k;
+    const double* acc_mean = raw_merged_.mean.data() + h * k;
     const double pop = static_cast<double>(strat.PopulationOf(h));
     for (size_t c = 0; c < k; ++c) {
       if (acc_n[c] > 0.0) out[c] += pop * acc_mean[c];
@@ -568,20 +595,21 @@ double DeltaEstimator::VarianceReductionForNext(
     return std::numeric_limits<double>::max() / 2.0 *
            (static_cast<double>(N) / static_cast<double>(strat.total_population()));
   }
+  Sync(strat, diff_, &diff_uncertainty_, &diff_merged_);
+  const size_t lane0 = static_cast<size_t>(stratum) * num_configs_;
+  const double* acc_n = diff_merged_.n.data() + lane0;
+  const double* acc_m2 = diff_merged_.m2.data() + lane0;
+  const double* usum = diff_merged_.usum.data() + lane0;
   double reduction = 0.0;
   for (ConfigId j = 0; j < num_configs_; ++j) {
     if (!active[j] || j == reference_) continue;
-    RunningMoments merged;
-    for (TemplateId t : strat.TemplatesOf(stratum)) {
-      merged.Merge(diff_.At(CellOf(t, j)));
-    }
-    uint64_t nj = static_cast<uint64_t>(merged.count());
+    uint64_t nj = static_cast<uint64_t>(acc_n[j]);
     if (nj + 1 > N) continue;
-    reduction += StratumVarianceTerm(merged.variance_sample(), nj, N) -
-                 StratumVarianceTerm(merged.variance_sample(), nj + 1, N);
-    double u = StratumDiffUncertainty(j, strat, stratum);
-    reduction += UncertaintyBiasSquared(u, nj, N) -
-                 UncertaintyBiasSquared(u, nj + 1, N);
+    const double s2 = nj > 1 ? acc_m2[j] / (acc_n[j] - 1.0) : 0.0;
+    reduction += StratumVarianceTerm(s2, nj, N) -
+                 StratumVarianceTerm(s2, nj + 1, N);
+    reduction += UncertaintyBiasSquared(usum[j], nj, N) -
+                 UncertaintyBiasSquared(usum[j], nj + 1, N);
   }
   return reduction;
 }

@@ -69,30 +69,6 @@ struct MomentSoA {
   }
 };
 
-/// Caller-owned reusable buffers for the batched estimator kernels
-/// (DiffStats / Estimates). The no-allocation rule for estimator hot
-/// loops: a selection loop allocates one scratch up front and every
-/// per-round kernel call reuses it — the kernels themselves never touch
-/// the heap after the first Prepare. The merged-moment accumulators are
-/// SoA for the same lanewise-merge reason as MomentSoA.
-struct EstimatorScratch {
-  /// Per-config merged stratum moments (count / mean / M2 components).
-  std::vector<double> n, mean, m2;
-  /// Per-config summed uncertainty half-widths of the current stratum.
-  std::vector<double> sums;
-
-  /// Ensures capacity for `k` configurations (grows only; values are
-  /// reset by the kernels per stratum).
-  void Prepare(size_t k) {
-    if (n.size() < k) {
-      n.resize(k, 0.0);
-      mean.resize(k, 0.0);
-      m2.resize(k, 0.0);
-      sums.resize(k, 0.0);
-    }
-  }
-};
-
 /// Per-template query populations of a cost source.
 std::vector<uint64_t> TemplatePopulationsOf(const CostSource& source);
 
@@ -211,6 +187,23 @@ class IndependentEstimator {
 /// evaluated in all (active) configurations. Stores raw cost vectors so
 /// pairwise difference moments can be rebuilt when the incumbent best
 /// configuration changes.
+///
+/// Per-stratum merged state: the batched outputs (Estimates, DiffStats,
+/// VarianceReductionForNext) all read one cache of per-stratum merged
+/// moments — each stratum's template cells Pébay-merged in
+/// TemplatesOf(h) order, k configuration lanes per stratum, exactly the
+/// state the scalar Estimate/DiffEstimate/DiffVariance merge on every
+/// call. A round's new sample dirties only its template's stratum, so a
+/// sweep re-merges that one stratum and replays the cached stratum
+/// totals in stratum order; the outputs are bit-identical to the scalar
+/// calls. A full re-merge happens when the reference changes (the diff
+/// moments are rebuilt) or when the Stratification passed in carries a
+/// different version() (a Split, or another partition). See DESIGN.md
+/// §15.
+///
+/// Thread-safety: single-run, single-thread. The batched const methods
+/// refresh the mutable cache, so even concurrent const calls on one
+/// estimator race. Every selection run owns its estimator.
 class DeltaEstimator {
  public:
   DeltaEstimator(size_t num_configs, size_t num_templates,
@@ -249,24 +242,23 @@ class DeltaEstimator {
   /// the difference distribution).
   double DiffVariance(ConfigId j, const Stratification& strat) const;
 
-  /// Batched DiffEstimate + DiffVariance over ALL configurations in one
-  /// sweep: diff_out[j] and var_out[j] are bit-identical to the scalar
-  /// calls (each stratum's moments are merged in the same template order;
-  /// the scalar pair merges that identical state twice, once per call, so
-  /// the batch also halves the merge work). Both spans must have
-  /// num_configs elements; entries for the reference or inactive
-  /// configurations are computed too (harmless — callers ignore them).
-  /// Zero allocation after scratch->Prepare's first growth.
-  void DiffStats(const Stratification& strat, EstimatorScratch* scratch,
-                 std::span<double> diff_out, std::span<double> var_out) const;
+  /// Batched DiffEstimate + DiffVariance over ALL configurations:
+  /// diff_out[j] and var_out[j] are bit-identical to the scalar calls.
+  /// Both spans must have num_configs elements; entries for the reference
+  /// or inactive configurations are computed too (harmless — callers
+  /// ignore them). Re-merges only the strata whose templates received
+  /// samples since the last sweep (see the class comment); allocates only
+  /// when the number of strata grows.
+  void DiffStats(const Stratification& strat, std::span<double> diff_out,
+                 std::span<double> var_out) const;
 
   /// Batched Estimate over all configurations; out[c] bit-identical to
-  /// Estimate(c, strat). Zero allocation (see DiffStats).
-  void Estimates(const Stratification& strat, EstimatorScratch* scratch,
-                 std::span<double> out) const;
+  /// Estimate(c, strat). Same incremental refresh as DiffStats.
+  void Estimates(const Stratification& strat, std::span<double> out) const;
 
   /// Sum over active pairs (ref, j) of the variance reduction from one
-  /// more sample in `stratum` (§5.2 for Delta Sampling).
+  /// more sample in `stratum` (§5.2 for Delta Sampling), read from the
+  /// cached merged diff moments of that stratum.
   double VarianceReductionForNext(const Stratification& strat, uint32_t stratum,
                                   const std::vector<bool>& active) const;
 
@@ -302,6 +294,35 @@ class DeltaEstimator {
     TemplateId tmpl;
   };
 
+  /// Per-stratum merged moments of one MomentSoA family (raw costs or
+  /// reference differences). Lane [h * k + c] holds stratum h's merged
+  /// count / mean / M2 (and, for differences, summed half-widths) for
+  /// configuration c.
+  struct StratumMerge {
+    std::vector<double> n, mean, m2, usum;
+    /// Stratification::version() the lanes were merged under; 0 forces a
+    /// full re-merge on the next sweep.
+    uint64_t version = 0;
+    /// Templates that received samples since the last sweep; `pending_flag`
+    /// deduplicates them.
+    std::vector<TemplateId> pending;
+    std::vector<uint8_t> pending_flag;
+    /// Per-stratum re-merge marks of the sweep in progress.
+    std::vector<uint8_t> stale;
+
+    void MarkTemplate(TemplateId t) {
+      if (pending_flag[t] != 0) return;
+      pending_flag[t] = 1;
+      pending.push_back(t);
+    }
+  };
+
+  /// Brings `merged` up to date with `src` (and `uncert`, when non-null)
+  /// under `strat`: every stratum when the version differs, else only the
+  /// strata holding pending templates.
+  void Sync(const Stratification& strat, const MomentSoA& src,
+            const std::vector<double>* uncert, StratumMerge* merged) const;
+
   void RebuildDiffMoments();
   /// Summed (u_ref + u_j) half-widths of the templates in one stratum.
   double StratumDiffUncertainty(ConfigId j, const Stratification& strat,
@@ -334,6 +355,10 @@ class DeltaEstimator {
   /// Per-template shared sample counts.
   std::vector<uint64_t> template_counts_;
   ConfigId reference_ = 0;
+  /// Per-stratum merged state of raw_ and of diff_ (+ diff_uncertainty_),
+  /// refreshed lazily by the const batched methods.
+  mutable StratumMerge raw_merged_;
+  mutable StratumMerge diff_merged_;
 };
 
 }  // namespace pdx

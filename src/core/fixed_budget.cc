@@ -89,7 +89,6 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
   // in ascending order — the scalar visit order; the dynamic policy prices
   // only the still-active ones (dominated configurations need no calls).
   std::unique_ptr<BudgetManager> budget = MaybeBudget(options, k, pops);
-  EstimatorScratch scratch;
   std::vector<double> estimates_buf(k, 0.0);
   std::vector<double> diffs_buf(k, 0.0);
   std::vector<double> vars_buf(k, 0.0);
@@ -190,7 +189,7 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
         ++iteration;
         ConfigId best = 0;
         double best_est = std::numeric_limits<double>::infinity();
-        est.Estimates(strat, &scratch, estimates_buf);
+        est.Estimates(strat, estimates_buf);
         for (ConfigId c = 0; c < k; ++c) {
           if (estimates_buf[c] < best_est) {
             best_est = estimates_buf[c];
@@ -214,7 +213,7 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
           // a nominal 95% level (budget mode has no alpha).
           double z = NormalQuantile(0.975);
           double target_se = std::numeric_limits<double>::infinity();
-          est.DiffStats(strat, &scratch, diffs_buf, vars_buf);
+          est.DiffStats(strat, diffs_buf, vars_buf);
           for (ConfigId j = 0; j < k; ++j) {
             if (j == best) continue;
             double gap = -diffs_buf[j];
@@ -264,7 +263,7 @@ FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
 
   FixedBudgetResult out;
   out.estimates.resize(k);
-  est.Estimates(strat, &scratch, out.estimates);
+  est.Estimates(strat, out.estimates);
   out.best = ArgMin(out.estimates, active);
   out.queries_sampled = est.TotalSamples();
   out.optimizer_calls = source->num_calls() - calls_before;

@@ -224,7 +224,6 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
   // loop visited them — so the batched sweep prices identical cells in an
   // identical sequence.
   uint64_t degraded_cells = 0;
-  EstimatorScratch scratch;
   std::vector<double> estimates_buf(k, 0.0);
   std::vector<double> diffs_buf(k, 0.0);
   std::vector<double> vars_buf(k, 0.0);
@@ -315,7 +314,7 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
     {
       obs::SpanScope estimate_span(span_round, "estimate", "selector");
       double best_est = std::numeric_limits<double>::infinity();
-      est.Estimates(strat, &scratch, estimates_buf);
+      est.Estimates(strat, estimates_buf);
       for (ConfigId c = 0; c < k; ++c) {
         if (!active[c]) continue;
         if (estimates_buf[c] < best_est) {
@@ -347,7 +346,7 @@ SelectionResult ConfigurationSelector::RunDelta(Rng* rng) {
     double pr = 0.0;
     {
       obs::SpanScope pairwise_span(span_round, "pairwise", "selector");
-      est.DiffStats(strat, &scratch, diffs_buf, vars_buf);
+      est.DiffStats(strat, diffs_buf, vars_buf);
       for (ConfigId j = 0; j < k; ++j) {
         if (j == best) continue;
         if (!active[j]) {

@@ -1,6 +1,7 @@
 #include "core/stratification.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "common/macros.h"
@@ -32,6 +33,15 @@ StratumEstimate EstimateStratum(const std::vector<TemplateId>& templates,
   return out;
 }
 
+namespace {
+
+uint64_t NextStratificationVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 Stratification::Stratification(
     const std::vector<uint64_t>& template_populations)
     : template_populations_(template_populations),
@@ -44,6 +54,7 @@ Stratification::Stratification(
   PDX_CHECK(!all.empty());
   strata_.push_back(std::move(all));
   strata_population_.push_back(total_population_);
+  version_ = NextStratificationVersion();
 }
 
 uint32_t Stratification::StratumOf(TemplateId t) const {
@@ -91,6 +102,7 @@ void Stratification::Split(uint32_t stratum,
   strata_population_.push_back(0);
   for (TemplateId t : strata_.back()) stratum_of_[t] = new_id;
   RecomputePopulation(new_id);
+  version_ = NextStratificationVersion();
 }
 
 std::vector<double> NeymanAllocation(const std::vector<double>& populations,

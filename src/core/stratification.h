@@ -56,9 +56,18 @@ class Stratification {
   uint64_t PopulationOf(uint32_t stratum) const;
   uint64_t total_population() const { return total_population_; }
 
+  /// Process-unique stamp of this partition: drawn fresh from a global
+  /// counter by the constructor and by every Split, and carried along by
+  /// copies (which hold the identical partition). Equal versions imply
+  /// identical strata, so state derived from a partition (the Delta
+  /// estimator's per-stratum merges) can test it to know when to rebuild.
+  /// Never 0.
+  uint64_t version() const { return version_; }
+
   /// Splits `stratum` into (part1, rest). `part1` must be a strict
   /// non-empty subset of the stratum's templates. part1 keeps the stratum
   /// id; the rest becomes a new stratum (id = num_strata()-1 after call).
+  /// Assigns a new version().
   void Split(uint32_t stratum, const std::vector<TemplateId>& part1);
 
  private:
@@ -69,6 +78,7 @@ class Stratification {
   std::vector<uint64_t> strata_population_;
   std::vector<uint32_t> stratum_of_;  // indexed by TemplateId
   uint64_t total_population_ = 0;
+  uint64_t version_ = 0;
 };
 
 /// Continuous Neyman allocation of `n` samples over strata with lower

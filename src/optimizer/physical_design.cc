@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace pdx {
@@ -59,13 +60,16 @@ uint64_t Index::StorageBytes(const Schema& schema) const {
   return leaf_bytes + leaf_bytes / 50;
 }
 
+bool Index::Contains(ColumnId column) const {
+  return std::find(key_columns.begin(), key_columns.end(), column) !=
+             key_columns.end() ||
+         std::find(include_columns.begin(), include_columns.end(), column) !=
+             include_columns.end();
+}
+
 bool Index::Covers(const std::vector<ColumnId>& columns) const {
   for (ColumnId c : columns) {
-    bool found = std::find(key_columns.begin(), key_columns.end(), c) !=
-                     key_columns.end() ||
-                 std::find(include_columns.begin(), include_columns.end(),
-                           c) != include_columns.end();
-    if (!found) return false;
+    if (!Contains(c)) return false;
   }
   return true;
 }
@@ -165,7 +169,19 @@ void InsertCanonical(const std::vector<Structure>& structures,
   list->insert(it, pos);
 }
 
-const std::vector<uint32_t> kNoStructures;
+// The per-table list of `table`, growing the table-indexed vector on demand.
+std::vector<uint32_t>* TableList(std::vector<std::vector<uint32_t>>* lists,
+                                 TableId table) {
+  PDX_CHECK_MSG(table != kInvalidTableId, "structure on an invalid table id");
+  if (lists->size() <= table) lists->resize(static_cast<size_t>(table) + 1);
+  return &(*lists)[table];
+}
+
+const std::vector<uint32_t>& TableListOrEmpty(
+    const std::vector<std::vector<uint32_t>>& lists, TableId table) {
+  static const std::vector<uint32_t> kNoStructures;
+  return table < lists.size() ? lists[table] : kNoStructures;
+}
 
 }  // namespace
 
@@ -173,7 +189,8 @@ bool Configuration::AddIndex(Index index) {
   if (ContainsIndex(index)) return false;
   indexes_.push_back(std::move(index));
   uint32_t pos = static_cast<uint32_t>(indexes_.size() - 1);
-  InsertCanonical(indexes_, &indexes_by_table_[indexes_.back().table], pos);
+  InsertCanonical(indexes_,
+                  TableList(&indexes_by_table_, indexes_.back().table), pos);
   return true;
 }
 
@@ -185,20 +202,18 @@ bool Configuration::AddView(MaterializedView view) {
   for (TableId t : views_.back().tables) {  // sorted; skip self-join dups
     if (t == prev) continue;
     prev = t;
-    InsertCanonical(views_, &views_by_table_[t], pos);
+    InsertCanonical(views_, TableList(&views_by_table_, t), pos);
   }
   return true;
 }
 
 const std::vector<uint32_t>& Configuration::IndexesOnTable(
     TableId table) const {
-  auto it = indexes_by_table_.find(table);
-  return it == indexes_by_table_.end() ? kNoStructures : it->second;
+  return TableListOrEmpty(indexes_by_table_, table);
 }
 
 const std::vector<uint32_t>& Configuration::ViewsOnTable(TableId table) const {
-  auto it = views_by_table_.find(table);
-  return it == views_by_table_.end() ? kNoStructures : it->second;
+  return TableListOrEmpty(views_by_table_, table);
 }
 
 bool Configuration::ContainsIndex(const Index& index) const {

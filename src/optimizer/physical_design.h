@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -36,6 +35,8 @@ struct Index {
   uint32_t Levels(const Schema& schema) const;
   /// Storage footprint in bytes.
   uint64_t StorageBytes(const Schema& schema) const;
+  /// True if `column` appears in keys or includes.
+  bool Contains(ColumnId column) const;
   /// True if every column in `columns` appears in keys or includes.
   bool Covers(const std::vector<ColumnId>& columns) const;
   /// Canonical name, e.g. "ix_lineitem(l_shipdate)incl(...)".
@@ -99,8 +100,11 @@ class Configuration {
   void set_name(std::string name) { name_ = std::move(name); }
 
   /// Indexes on a given table (indices into indexes()). The lists are
-  /// maintained incrementally by AddIndex/AddView — no per-call
-  /// allocation on the optimizer's hot path — and are ordered by
+  /// maintained incrementally by AddIndex/AddView in a vector indexed by
+  /// table id — a lookup is one bounds test and one load, no hashing and
+  /// no allocation on the optimizer's hot path; a table id with no
+  /// structures (including one past every table seen) yields the empty
+  /// list. The lists are ordered by
   /// structure identity hash (position as tie-break), so per-table
   /// iteration order (and hence floating-point accumulation in
   /// maintenance costing) is independent of the order structures were
@@ -132,10 +136,10 @@ class Configuration {
   std::string name_;
   std::vector<Index> indexes_;
   std::vector<MaterializedView> views_;
-  /// table -> positions into indexes_/views_, canonically ordered (see
-  /// IndexesOnTable).
-  std::unordered_map<TableId, std::vector<uint32_t>> indexes_by_table_;
-  std::unordered_map<TableId, std::vector<uint32_t>> views_by_table_;
+  /// [table] -> positions into indexes_/views_, canonically ordered (see
+  /// IndexesOnTable); sized to one past the largest table id seen.
+  std::vector<std::vector<uint32_t>> indexes_by_table_;
+  std::vector<std::vector<uint32_t>> views_by_table_;
 };
 
 }  // namespace pdx

@@ -593,6 +593,11 @@ Result<Configuration> LoadConfiguration(const std::string& path,
       if (r[1] != "-") v.name = r[1];
       PDX_RETURN_IF_ERROR(r.Uint(2, &v.row_count));
       PDX_RETURN_IF_ERROR(r.List(3, &v.tables));
+      for (TableId t : v.tables) {
+        if (t >= schema.num_tables()) {
+          return r.Error("view table out of range");
+        }
+      }
       PDX_RETURN_IF_ERROR(r.List(4, &v.join_signature));
       PDX_RETURN_IF_ERROR(r.Refs(5, &v.group_by));
       PDX_RETURN_IF_ERROR(r.Refs(6, &v.exposed_columns));

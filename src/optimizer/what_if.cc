@@ -1,8 +1,9 @@
 #include "optimizer/what_if.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <unordered_set>
+#include <span>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -67,7 +68,6 @@ WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
   best.cost = model_.HeapScanCost(access.table);
   best.output_rows = output_rows;
   best.ordered_cost = -1.0;
-  best.description = "heap_scan(" + table.name + ")";
 
   for (uint32_t idx : config.IndexesOnTable(access.table)) {
     const Index& index = config.indexes()[idx];
@@ -98,8 +98,8 @@ WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
 
     if (cost < best.cost) {
       best.cost = cost;
-      best.description =
-          std::string(kind) + "(" + index.Name(model_.schema()) + ")";
+      best.kind = kind;
+      best.index = &index;
     }
     // Order property: the index delivers rows sorted by its key columns;
     // usable when the group-by columns (all on this table) form a prefix
@@ -121,6 +121,14 @@ WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
   }
   best.output_rows = output_rows;
   return best;
+}
+
+std::string WhatIfOptimizer::DescribeAccess(const AccessPlan& plan,
+                                            TableId table) const {
+  const std::string target = plan.index == nullptr
+                                 ? model_.schema().table(table).name
+                                 : plan.index->Name(model_.schema());
+  return std::string(plan.kind) + "(" + target + ")";
 }
 
 double WhatIfOptimizer::IndexNestedLoopProbeCost(
@@ -148,20 +156,34 @@ double WhatIfOptimizer::ViewMatchCost(const SelectSpec& spec,
                                       const Configuration& config) const {
   if (spec.joins.empty() || config.views().empty()) return -1.0;
 
-  // Canonical shape of the query's join graph.
-  std::vector<TableId> query_tables;
-  for (const TableAccess& a : spec.accesses) query_tables.push_back(a.table);
-  std::sort(query_tables.begin(), query_tables.end());
-  std::vector<std::pair<ColumnRef, ColumnRef>> edges;
-  for (const JoinEdge& j : spec.joins) {
-    edges.push_back({{spec.accesses[j.left_access].table, j.left_column},
-                     {spec.accesses[j.right_access].table, j.right_column}});
+  // Sorted table multiset of the query, on the stack (Validate caps the
+  // access count). The join signature is built only once some view's
+  // table set matches, so view-free and non-matching configurations
+  // price without allocating.
+  PDX_CHECK(spec.accesses.size() <= SelectSpec::kMaxAccesses);
+  std::array<TableId, SelectSpec::kMaxAccesses> tables_buf;
+  const size_t num_tables = spec.accesses.size();
+  for (size_t i = 0; i < num_tables; ++i) {
+    tables_buf[i] = spec.accesses[i].table;
   }
-  std::vector<uint64_t> signature = MakeJoinSignature(edges);
+  std::sort(tables_buf.begin(), tables_buf.begin() + num_tables);
+  const std::span<const TableId> query_tables(tables_buf.data(), num_tables);
+  std::vector<uint64_t> signature;
 
   double best = -1.0;
   for (const MaterializedView& view : config.views()) {
-    if (view.tables != query_tables) continue;
+    if (!std::ranges::equal(view.tables, query_tables)) continue;
+    if (signature.empty()) {
+      // Canonical shape of the query's join graph.
+      std::vector<std::pair<ColumnRef, ColumnRef>> edges;
+      edges.reserve(spec.joins.size());
+      for (const JoinEdge& j : spec.joins) {
+        edges.push_back(
+            {{spec.accesses[j.left_access].table, j.left_column},
+             {spec.accesses[j.right_access].table, j.right_column}});
+      }
+      signature = MakeJoinSignature(edges);
+    }
     if (view.join_signature != signature) continue;
 
     // Grouping must be a subset of the view's grouping (each query group
@@ -229,25 +251,28 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
     current_rows = plan.output_rows;
     ordered_plan_cost = plan.ordered_cost;
     if (explanation != nullptr) {
-      explanation->access_paths.push_back(plan.description);
+      explanation->access_paths.push_back(
+          DescribeAccess(plan, spec.accesses[0].table));
     }
   } else {
     // Left-deep composition in edge order (generators emit connected
-    // orderings starting from the most selective side).
-    std::unordered_set<uint32_t> joined;
+    // orderings starting from the most selective side). Bit i of `joined`
+    // marks access i as part of the joined prefix.
+    PDX_CHECK(spec.accesses.size() <= SelectSpec::kMaxAccesses);
     uint32_t first = spec.joins[0].left_access;
     AccessPlan first_plan =
         BestAccessPath(spec.accesses[first], config, spec.group_by);
     join_cost = first_plan.cost;
     current_rows = first_plan.output_rows;
-    joined.insert(first);
+    uint64_t joined = uint64_t{1} << first;
     if (explanation != nullptr) {
-      explanation->access_paths.push_back(first_plan.description);
+      explanation->access_paths.push_back(
+          DescribeAccess(first_plan, spec.accesses[first].table));
     }
 
     for (const JoinEdge& edge : spec.joins) {
-      bool left_in = joined.count(edge.left_access) > 0;
-      bool right_in = joined.count(edge.right_access) > 0;
+      bool left_in = (joined >> edge.left_access & 1) != 0;
+      bool right_in = (joined >> edge.right_access & 1) != 0;
       if (left_in && right_in) {
         // Redundant edge within the joined set: a residual filter.
         double ndv = std::max(
@@ -258,6 +283,7 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
         current_rows = std::max(1.0, current_rows / std::max(1.0, ndv));
         continue;
       }
+      // Workload::Validate rejects disconnected join orders.
       PDX_CHECK_MSG(left_in || right_in,
                     "join edge disconnected from joined prefix");
       uint32_t inner_id = left_in ? edge.right_access : edge.left_access;
@@ -278,7 +304,7 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
 
       // Index nested loop: one seek per outer row.
       double join_op_cost = hash_cost;
-      std::string inner_desc = inner_plan.description + "+hash";
+      bool use_inlj = false;
       double probe_cost = IndexNestedLoopProbeCost(inner, inner_col, config);
       if (probe_cost >= 0.0) {
         double residual_cpu = model_.constants().cpu_operator *
@@ -286,13 +312,7 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
         double inlj_cost = current_rows * (probe_cost + residual_cpu);
         if (inlj_cost < join_op_cost) {
           join_op_cost = inlj_cost;
-          inner_desc = "inlj(" +
-                       model_.schema().table(inner.table).name + "." +
-                       model_.schema()
-                           .table(inner.table)
-                           .columns[inner_col]
-                           .name +
-                       ")";
+          use_inlj = true;
         }
       }
       join_cost += join_op_cost;
@@ -300,9 +320,13 @@ double WhatIfOptimizer::SelectCost(const SelectSpec& spec,
           current_rows, inner_rows,
           {spec.accesses[outer_id].table, outer_col},
           {inner.table, inner_col});
-      joined.insert(inner_id);
+      joined |= uint64_t{1} << inner_id;
       if (explanation != nullptr) {
-        explanation->access_paths.push_back(inner_desc);
+        const Table& inner_table = model_.schema().table(inner.table);
+        explanation->access_paths.push_back(
+            use_inlj ? "inlj(" + inner_table.name + "." +
+                           inner_table.columns[inner_col].name + ")"
+                     : DescribeAccess(inner_plan, inner.table) + "+hash");
       }
     }
   }
@@ -359,7 +383,7 @@ double WhatIfOptimizer::UpdatePartCost(const Query& query,
     bool touched = u.kind != StatementKind::kUpdate;
     if (!touched) {
       for (ColumnId c : u.set_columns) {
-        if (index.Covers({c})) {
+        if (index.Contains(c)) {
           touched = true;
           break;
         }

@@ -21,10 +21,18 @@
 // Thread-safety: Cost()/CostExplained()/TotalCost() are safe to call
 // concurrently. The cost model and schema are immutable after
 // construction; the only state Cost() mutates is the pair of call
-// counters, which are atomics updated with relaxed ordering. Note that
+// counters, which are atomics updated with relaxed ordering. The pricing
+// path keeps every intermediate on the stack (no scratch members, no
+// thread-locals), so serve workers can share one optimizer. Note that
 // weighted_calls() is a floating-point sum accumulated across threads,
 // so its last-ulp rounding can differ between thread counts; the integer
 // num_calls() is exact everywhere.
+//
+// Hot-path rule: Cost() allocates nothing unless some view's table set
+// matches the query (the join signature is built then). Plan
+// descriptions are built only when CostExplained() is handed a
+// PlanExplanation, the joined prefix is a 64-bit mask, and per-table
+// structure lists are vector lookups (DESIGN.md §15).
 #pragma once
 
 #include <atomic>
@@ -94,12 +102,20 @@ class WhatIfOptimizer {
     /// `cost` so the caller can minimize (path + aggregation) jointly —
     /// required for SELECT-cost monotonicity under added structures.
     double ordered_cost = -1.0;
-    std::string description;
+    /// The chosen path: its kind and index (nullptr = heap scan). Only
+    /// DescribeAccess turns these into text, and only when a caller asked
+    /// for a PlanExplanation — Cost() itself never builds a string.
+    const char* kind = "heap_scan";
+    const Index* index = nullptr;
   };
 
   AccessPlan BestAccessPath(const TableAccess& access,
                             const Configuration& config,
                             const std::vector<ColumnRef>& group_by) const;
+
+  /// "kind(structure)" text of a chosen access path, e.g.
+  /// "index_seek(ix_orders(o_custkey))" or "heap_scan(lineitem)".
+  std::string DescribeAccess(const AccessPlan& plan, TableId table) const;
 
   /// Cost of an index-nested-loop probe side for a join, or a negative
   /// value when no suitable index exists in `config`.
@@ -107,6 +123,8 @@ class WhatIfOptimizer {
                                   ColumnId inner_join_column,
                                   const Configuration& config) const;
 
+  /// SELECT-part cost. Appends the chosen access paths to `explanation`
+  /// when it is non-null; the arithmetic is the same either way.
   double SelectCost(const SelectSpec& spec, const Configuration& config,
                     PlanExplanation* explanation) const;
 

@@ -736,10 +736,9 @@ std::string CheckBatchedMatchesScalarBitwise(const MatrixInstance& inst) {
   }
   est.SetReference(static_cast<ConfigId>(rng.NextBounded(k)));
 
-  EstimatorScratch scratch;
   std::vector<double> estimates(k, 0.0), diffs(k, 0.0), vars(k, 0.0);
-  est.Estimates(strat, &scratch, estimates);
-  est.DiffStats(strat, &scratch, diffs, vars);
+  est.Estimates(strat, estimates);
+  est.DiffStats(strat, diffs, vars);
   for (ConfigId c = 0; c < k; ++c) {
     if (!same_bits(estimates[c], est.Estimate(c, strat))) {
       return StringFormat("Estimates[%u] differs from Estimate", c);

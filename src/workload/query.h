@@ -68,9 +68,16 @@ struct JoinEdge {
 
 /// The SELECT shape of a statement (also the SELECT half of split DML).
 struct SelectSpec {
+  /// Upper bound on accesses: the optimizer tracks the joined prefix in a
+  /// 64-bit mask, and Workload::Validate rejects larger statements.
+  static constexpr size_t kMaxAccesses = 64;
+
   std::vector<TableAccess> accesses;
   /// Join edges; the optimizer composes them left-deep in the given order,
-  /// which the generators arrange from most- to least-selective.
+  /// which the generators arrange from most- to least-selective. Every
+  /// edge after the first must touch an access already joined by the
+  /// edges before it (the first edge's left access starts the prefix);
+  /// Workload::Validate rejects a disconnected order.
   std::vector<JoinEdge> joins;
   std::vector<ColumnRef> group_by;
   std::vector<ColumnRef> order_by;

@@ -68,6 +68,13 @@ Status ValidateSelect(const Schema& schema, const SelectSpec& spec) {
       }
     }
   }
+  if (spec.accesses.size() > SelectSpec::kMaxAccesses) {
+    return Status::InvalidArgument("too many table accesses");
+  }
+  // The optimizer composes joins left-deep in edge order, starting from
+  // the first edge's left access: each edge must extend (or filter) the
+  // prefix joined so far.
+  uint64_t joined = 0;
   for (const JoinEdge& j : spec.joins) {
     if (j.left_access >= spec.accesses.size() ||
         j.right_access >= spec.accesses.size()) {
@@ -76,6 +83,20 @@ Status ValidateSelect(const Schema& schema, const SelectSpec& spec) {
     if (j.left_access == j.right_access) {
       return Status::InvalidArgument("self-referential join edge");
     }
+    if (j.left_column >=
+            schema.table(spec.accesses[j.left_access].table).columns.size() ||
+        j.right_column >=
+            schema.table(spec.accesses[j.right_access].table).columns.size()) {
+      return Status::InvalidArgument("join column out of range");
+    }
+    const uint64_t left = uint64_t{1} << j.left_access;
+    const uint64_t right = uint64_t{1} << j.right_access;
+    if (joined == 0) joined = left;
+    if ((joined & (left | right)) == 0) {
+      return Status::InvalidArgument(
+          "join edge disconnected from the joined prefix");
+    }
+    joined |= left | right;
   }
   return Status::OK();
 }

@@ -1,11 +1,15 @@
 #include "core/estimators.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
+#include "core/pr_cs.h"
 #include "test_util.h"
 
 namespace pdx {
@@ -258,10 +262,9 @@ TEST(DeltaEstimatorTest, BatchedStatsMatchScalarBitwise) {
   }
   est.SetReference(1);
 
-  EstimatorScratch scratch;
   std::vector<double> estimates(k), diffs(k), vars(k);
-  est.Estimates(strat, &scratch, estimates);
-  est.DiffStats(strat, &scratch, diffs, vars);
+  est.Estimates(strat, estimates);
+  est.DiffStats(strat, diffs, vars);
   for (ConfigId c = 0; c < k; ++c) {
     const double e = est.Estimate(c, strat);
     const double d = est.DiffEstimate(c, strat);
@@ -270,6 +273,309 @@ TEST(DeltaEstimatorTest, BatchedStatsMatchScalarBitwise) {
     EXPECT_EQ(std::memcmp(&diffs[c], &d, sizeof(double)), 0) << "c=" << c;
     EXPECT_EQ(std::memcmp(&vars[c], &v, sizeof(double)), 0) << "c=" << c;
   }
+}
+
+
+// --- per-stratum cache vs scalar oracles -----------------------------------
+//
+// Estimates / DiffStats / VarianceReductionForNext read DeltaEstimator's
+// per-stratum merged state, which is refreshed incrementally. The oracles
+// below recompute everything from scratch on every call: the class's own
+// scalar Estimate / DiffEstimate / DiffVariance, and a test-side
+// variance reduction rebuilt from the recorded samples with scalar
+// RunningMoments. Every comparison is bytewise.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+double BiasSquared(double uncertainty_sum, uint64_t n, uint64_t N) {
+  if (uncertainty_sum <= 0.0 || n == 0) return 0.0;
+  double bias =
+      static_cast<double>(N) / static_cast<double>(n) * uncertainty_sum;
+  return bias * bias;
+}
+
+/// Every sample handed to the estimator, replayed from scratch per query.
+class DeltaReplayOracle {
+ public:
+  explicit DeltaReplayOracle(std::vector<uint64_t> pops)
+      : pops_(std::move(pops)) {}
+
+  void Add(TemplateId tmpl, std::span<const double> costs,
+           std::span<const double> uncerts) {
+    samples_.push_back({tmpl, {costs.begin(), costs.end()},
+                        {uncerts.begin(), uncerts.end()}});
+  }
+  void SetReference(ConfigId r) { reference_ = r; }
+
+  /// The pre-cache scalar §5.2 reduction: per-template moments of the
+  /// reference differences (samples in arrival order), merged across the
+  /// stratum's templates in TemplatesOf order.
+  double VarianceReductionForNext(const Stratification& strat, uint32_t h,
+                                  const std::vector<bool>& active) const {
+    const uint64_t N = strat.PopulationOf(h);
+    uint64_t n = 0;
+    for (TemplateId t : strat.TemplatesOf(h)) {
+      for (const Sample& s : samples_) n += s.tmpl == t ? 1 : 0;
+    }
+    if (n + 1 > N) return 0.0;
+    if (n < 2) {
+      return std::numeric_limits<double>::max() / 2.0 *
+             (static_cast<double>(N) /
+              static_cast<double>(strat.total_population()));
+    }
+    double reduction = 0.0;
+    for (ConfigId j = 0; j < active.size(); ++j) {
+      if (!active[j] || j == reference_) continue;
+      RunningMoments merged;
+      double u = 0.0;
+      for (TemplateId t : strat.TemplatesOf(h)) {
+        RunningMoments cell;
+        double u_cell = 0.0;
+        for (const Sample& s : samples_) {
+          if (s.tmpl != t || std::isnan(s.costs[reference_]) ||
+              std::isnan(s.costs[j])) {
+            continue;
+          }
+          cell.Add(s.costs[reference_] - s.costs[j]);
+          if (!s.uncerts.empty()) {
+            u_cell += s.uncerts[reference_] + s.uncerts[j];
+          }
+        }
+        merged.Merge(cell);
+        u += u_cell;
+      }
+      const uint64_t nj = static_cast<uint64_t>(merged.count());
+      if (nj + 1 > N) continue;
+      reduction += StratumVarianceTerm(merged.variance_sample(), nj, N) -
+                   StratumVarianceTerm(merged.variance_sample(), nj + 1, N);
+      reduction += BiasSquared(u, nj, N) - BiasSquared(u, nj + 1, N);
+    }
+    return reduction;
+  }
+
+ private:
+  struct Sample {
+    TemplateId tmpl;
+    std::vector<double> costs, uncerts;
+  };
+  std::vector<uint64_t> pops_;
+  std::vector<Sample> samples_;
+  ConfigId reference_ = 0;
+};
+
+/// Compares every cached output under `strat` against the oracles. The
+/// call order rotates so each batched entry point is sometimes the first
+/// to see new samples (and so performs the refresh).
+void ExpectCacheMatchesOracles(const DeltaEstimator& est,
+                               const DeltaReplayOracle& oracle,
+                               const Stratification& strat,
+                               const std::vector<bool>& active,
+                               uint64_t rotation) {
+  const size_t k = active.size();
+  std::vector<double> estimates(k), diffs(k), vars(k), reductions;
+  auto estimates_now = [&] { est.Estimates(strat, estimates); };
+  auto diffs_now = [&] { est.DiffStats(strat, diffs, vars); };
+  auto reductions_now = [&] {
+    reductions.clear();
+    for (uint32_t h = 0; h < strat.num_strata(); ++h) {
+      reductions.push_back(est.VarianceReductionForNext(strat, h, active));
+    }
+  };
+  switch (rotation % 3) {
+    case 0:
+      estimates_now(), diffs_now(), reductions_now();
+      break;
+    case 1:
+      reductions_now(), diffs_now(), estimates_now();
+      break;
+    default:
+      diffs_now(), reductions_now(), estimates_now();
+      break;
+  }
+  for (ConfigId c = 0; c < k; ++c) {
+    EXPECT_TRUE(SameBits(estimates[c], est.Estimate(c, strat))) << "c=" << c;
+    EXPECT_TRUE(SameBits(diffs[c], est.DiffEstimate(c, strat))) << "c=" << c;
+    EXPECT_TRUE(SameBits(vars[c], est.DiffVariance(c, strat))) << "c=" << c;
+  }
+  for (uint32_t h = 0; h < strat.num_strata(); ++h) {
+    EXPECT_TRUE(SameBits(reductions[h],
+                         oracle.VarianceReductionForNext(strat, h, active)))
+        << "stratum " << h;
+  }
+}
+
+/// Splits a random multi-template stratum of `strat` (no-op when none).
+void RandomSplit(Stratification* strat, Rng* rng) {
+  std::vector<uint32_t> splittable;
+  for (uint32_t h = 0; h < strat->num_strata(); ++h) {
+    if (strat->TemplatesOf(h).size() >= 2) splittable.push_back(h);
+  }
+  if (splittable.empty()) return;
+  uint32_t h = splittable[rng->NextBounded(splittable.size())];
+  std::vector<TemplateId> members = strat->TemplatesOf(h);
+  rng->Shuffle(&members);
+  members.resize(1 + rng->NextBounded(members.size() - 1));
+  strat->Split(h, members);
+}
+
+struct InterleavingOptions {
+  bool eliminate = false;  // NaN cells for eliminated configurations
+  bool degrade = false;    // per-cell uncertainty half-widths
+};
+
+/// Seeded random interleaving of Add / SetReference / Split / checks over
+/// two stratifications (so the cache also switches partitions).
+void RunRandomInterleaving(uint64_t seed, InterleavingOptions opt) {
+  const size_t k = 6;
+  const size_t T = 9;
+  MatrixCostSource src = SyntheticMatrix(900, k, T, 0.08, seed);
+  std::vector<uint64_t> pops = PopsOf(src);
+  DeltaEstimator est(k, T, pops);
+  DeltaReplayOracle oracle(pops);
+  Stratification a(pops);
+  Stratification b(pops);
+  Rng rng(seed ^ 0xCAC4E);
+  StratifiedSamplePool pool(src, &rng);
+  std::vector<bool> active(k, true);
+  ConfigId reference = 0;
+  std::vector<double> costs(k), uncerts(k);
+  uint64_t checks = 0;
+  for (int step = 0; step < 400; ++step) {
+    const uint64_t op = rng.NextBounded(16);
+    if (op < 9) {
+      std::optional<QueryId> q = pool.DrawGlobal(&rng);
+      if (!q) break;
+      bool any_uncertain = false;
+      for (ConfigId c = 0; c < k; ++c) {
+        costs[c] = active[c] ? src.Cost(*q, c)
+                             : std::numeric_limits<double>::quiet_NaN();
+        uncerts[c] = 0.0;
+        if (opt.degrade && active[c] && rng.NextBernoulli(0.15)) {
+          uncerts[c] = 0.02 * costs[c];
+          any_uncertain = true;
+        }
+      }
+      std::span<const double> u =
+          any_uncertain ? std::span<const double>(uncerts)
+                        : std::span<const double>();
+      est.Add(*q, src.TemplateOf(*q), costs, u);
+      oracle.Add(src.TemplateOf(*q), costs, u);
+    } else if (op < 11) {
+      do {
+        reference = static_cast<ConfigId>(rng.NextBounded(k));
+      } while (!active[reference]);
+      est.SetReference(reference);
+      oracle.SetReference(reference);
+    } else if (op < 12) {
+      // Half the splits are checked at once, before any new sample can
+      // dirty the strata they changed.
+      Stratification* split = rng.NextBernoulli(0.5) ? &a : &b;
+      RandomSplit(split, &rng);
+      if (rng.NextBernoulli(0.5)) {
+        ExpectCacheMatchesOracles(est, oracle, *split, active, checks++);
+      }
+    } else if (op < 13 && opt.eliminate) {
+      ConfigId j = static_cast<ConfigId>(rng.NextBounded(k));
+      if (j != reference) active[j] = false;
+    } else {
+      ExpectCacheMatchesOracles(est, oracle, rng.NextBernoulli(0.5) ? a : b,
+                                active, checks++);
+    }
+  }
+  ExpectCacheMatchesOracles(est, oracle, a, active, checks++);
+  ExpectCacheMatchesOracles(est, oracle, b, active, checks++);
+  EXPECT_GT(checks, 20u);
+}
+
+TEST(DeltaEstimatorCacheTest, RandomInterleavingsMatchOracles) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    RunRandomInterleaving(seed, {});
+  }
+}
+
+TEST(DeltaEstimatorCacheTest, EliminatedNanCellsMatchOracles) {
+  for (uint64_t seed = 11; seed <= 16; ++seed) {
+    SCOPED_TRACE(seed);
+    RunRandomInterleaving(seed, {.eliminate = true});
+  }
+}
+
+TEST(DeltaEstimatorCacheTest, DegradedCellsMatchOracles) {
+  for (uint64_t seed = 21; seed <= 26; ++seed) {
+    SCOPED_TRACE(seed);
+    RunRandomInterleaving(seed, {.eliminate = true, .degrade = true});
+  }
+}
+
+TEST(DeltaEstimatorCacheTest, FixedBudgetCallSequenceMatchesOracles) {
+  // The fixed-budget Delta loop's call order: Estimates -> SetReference
+  // -> DiffStats -> Algorithm-2 split -> top-up draws -> one
+  // VarianceReductionForNext per stratum -> one draw. Every round is
+  // checked against the oracles.
+  const size_t k = 5;
+  const size_t T = 12;
+  MatrixCostSource src = SyntheticMatrix(2400, k, T, 0.05, 91);
+  std::vector<uint64_t> pops = PopsOf(src);
+  DeltaEstimator est(k, T, pops);
+  DeltaReplayOracle oracle(pops);
+  Stratification strat(pops);
+  Rng rng(92);
+  StratifiedSamplePool pool(src, &rng);
+  const std::vector<bool> active(k, true);
+  std::vector<double> costs(k), estimates(k), diffs(k), vars(k);
+  auto evaluate = [&](QueryId q) {
+    for (ConfigId c = 0; c < k; ++c) costs[c] = src.Cost(q, c);
+    est.Add(q, src.TemplateOf(q), costs);
+    oracle.Add(src.TemplateOf(q), costs, {});
+  };
+  for (int i = 0; i < 10; ++i) evaluate(*pool.DrawGlobal(&rng));
+  size_t splits = 0;
+  for (uint64_t round = 0; round < 240; ++round) {
+    est.Estimates(strat, estimates);
+    ConfigId best = static_cast<ConfigId>(
+        std::min_element(estimates.begin(), estimates.end()) -
+        estimates.begin());
+    est.SetReference(best);
+    oracle.SetReference(best);
+    est.DiffStats(strat, diffs, vars);
+    ExpectCacheMatchesOracles(est, oracle, strat, active, round);
+    if (round % 5 == 4) {
+      SplitDecision dec = FindBestSplit(
+          strat, est.AveragedDiffTemplateStats(active), 1e3, 10, 3);
+      if (dec.beneficial) {
+        strat.Split(dec.stratum, dec.part1);
+        ++splits;
+        for (uint32_t h : {dec.stratum,
+                           static_cast<uint32_t>(strat.num_strata() - 1)}) {
+          while (est.SamplesIn(strat, h) < 10) {
+            std::optional<QueryId> q = pool.Draw(strat, h, &rng);
+            if (!q) break;
+            evaluate(*q);
+          }
+        }
+      }
+    }
+    uint32_t chosen = 0;
+    double best_score = -1.0;
+    for (uint32_t h = 0; h < strat.num_strata(); ++h) {
+      if (pool.RemainingInStratum(strat, h) == 0) continue;
+      const double red = est.VarianceReductionForNext(strat, h, active);
+      EXPECT_TRUE(
+          SameBits(red, oracle.VarianceReductionForNext(strat, h, active)));
+      if (red > best_score) {
+        best_score = red;
+        chosen = h;
+      }
+    }
+    std::optional<QueryId> q = pool.Draw(strat, chosen, &rng);
+    if (!q) q = pool.DrawGlobal(&rng);
+    if (!q) break;
+    evaluate(*q);
+  }
+  EXPECT_GE(splits, 1u) << "the sequence should exercise a split";
 }
 
 TEST(DeltaEstimatorTest, AveragedTemplateStatsShape) {

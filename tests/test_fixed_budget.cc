@@ -1,5 +1,7 @@
 #include "core/fixed_budget.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
@@ -19,6 +21,51 @@ ConfigId TrueBest(const MatrixCostSource& src) {
     }
   }
   return best;
+}
+
+
+/// FNV-1a over the bit patterns of a fixed-budget result.
+uint64_t Fingerprint(const FixedBudgetResult& r) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(r.best);
+  mix(r.queries_sampled);
+  mix(r.optimizer_calls);
+  for (double e : r.estimates) {
+    uint64_t bits;
+    std::memcpy(&bits, &e, sizeof(bits));
+    mix(bits);
+  }
+  return h;
+}
+
+TEST(FixedBudgetTest, DeltaOutputsArePinned) {
+  // The Delta path's estimator outputs are bit-identical to the scalar
+  // per-call merges they replaced: these fingerprints were recorded with
+  // the from-scratch kernels and must never drift.
+  MatrixCostSource src = SyntheticMatrix(3000, 6, 16, 0.01, 71);
+  struct Leg {
+    AllocationPolicy allocation;
+    bool stratify;
+    bool overhead_aware;
+    uint64_t fingerprint;
+  };
+  const Leg legs[] = {
+      {AllocationPolicy::kVarianceGuided, true, false, 0xd8f74e62989c2301ull},
+      {AllocationPolicy::kVarianceGuided, false, false, 0xbdad6ac2eddaed06ull},
+      {AllocationPolicy::kFinePerTemplate, false, true, 0xd3145e497111efb7ull},
+  };
+  for (const Leg& leg : legs) {
+    FixedBudgetOptions opt;
+    opt.allocation = leg.allocation;
+    opt.stratify = leg.stratify;
+    opt.overhead_aware = leg.overhead_aware;
+    opt.n_min = 12;
+    Rng rng(4242);
+    FixedBudgetResult r = FixedBudgetSelect(&src, 1500, opt, &rng);
+    EXPECT_EQ(Fingerprint(r), leg.fingerprint)
+        << std::hex << "got 0x" << Fingerprint(r);
+  }
 }
 
 TEST(FixedBudgetTest, BudgetRespectedDelta) {

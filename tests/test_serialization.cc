@@ -204,6 +204,41 @@ TEST_F(SerializationTest, RejectsTruncatedQuery) {
   EXPECT_FALSE(LoadWorkload(path_, schema).ok());
 }
 
+TEST_F(SerializationTest, DisconnectedJoinOrderIsAnErrorNotAnAbort) {
+  // A join list whose second edge touches no already-joined table parses
+  // record by record but cannot be priced left-deep; LoadWorkload must
+  // refuse it with InvalidArgument instead of handing it to the optimizer.
+  Schema schema = SmallTpcdSchema();
+  Write("pdx-workload 1\nschema\t" + schema.name() +
+        "\ntemplate\t0\tq\t0\t0\t0\nquery\t0\t0\t0\t0x1p+0\n"
+        "access\t3\t0\naccess\t6\t0\naccess\t7\t0\naccess\t4\t0\n"
+        "join\t0\t1\t0\t0\njoin\t2\t3\t0\t0\nend\n");
+  auto loaded = LoadWorkload(path_, schema);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("disconnected"), std::string::npos)
+      << loaded.status().ToString();
+
+  // The same query with a connected order loads and prices.
+  Write("pdx-workload 1\nschema\t" + schema.name() +
+        "\ntemplate\t0\tq\t0\t0\t0\nquery\t0\t0\t0\t0x1p+0\n"
+        "access\t3\t0\naccess\t6\t0\naccess\t7\t0\naccess\t4\t0\n"
+        "join\t0\t1\t0\t0\njoin\t1\t2\t0\t0\njoin\t2\t3\t0\t0\n"
+        "end\n");
+  auto ok = LoadWorkload(path_, schema);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  WhatIfOptimizer opt(schema);
+  EXPECT_GT(opt.Cost(ok->query(0), Configuration("empty")), 0.0);
+}
+
+TEST_F(SerializationTest, ConfigRejectsOutOfRangeViewTables) {
+  Schema schema = SmallTpcdSchema();
+  Write("pdx-config 1\nschema\t" + schema.name() +
+        "\nname\tx\nview\tv\t10\t0,99\t-\t-\t-\n");
+  EXPECT_EQ(LoadConfiguration(path_, schema).status().message(),
+            path_ + ":4: view table out of range");
+}
+
 TEST_F(SerializationTest, ConfigRejectsOutOfRangeColumns) {
   Schema schema = SmallTpcdSchema();
   {

@@ -1,11 +1,15 @@
 #include "optimizer/what_if.h"
 
+#include <cstring>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "common/running_stats.h"
 #include "optimizer/candidate_gen.h"
 #include "test_util.h"
 #include "tuner/enumerator.h"
+#include "workload/scenario.h"
 
 namespace pdx {
 namespace {
@@ -297,6 +301,229 @@ MaterializedView ViewAnswering(const Query& q) {
   }
   v.row_count = 2000;
   return v;
+}
+
+
+// --- explain path -----------------------------------------------------------
+//
+// Cost() and CostExplained() share one pricing function; descriptions are
+// built only when an explanation is requested. The totals must agree bit
+// for bit, and the description strings (read by cost bounds' callers and
+// `pdx_tool report`) are pinned per plan kind.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Empty, rich (every candidate: views, include columns, indexes that DML
+/// must maintain) and two interleaved halves of the rich candidate set.
+std::vector<Configuration> ExplainConfigs(const Schema& schema,
+                                          const Workload& wl) {
+  CandidateGenerator gen(schema);
+  QueryCandidates all = gen.ForWorkload(wl);
+  std::vector<Configuration> configs;
+  configs.emplace_back("empty");
+  configs.push_back(gen.RichConfiguration(wl));
+  for (size_t parity = 0; parity < 2; ++parity) {
+    Configuration half(parity == 0 ? "even" : "odd");
+    for (size_t i = parity; i < all.indexes.size(); i += 2) {
+      half.AddIndex(all.indexes[i]);
+    }
+    for (size_t i = parity; i < all.views.size(); i += 2) {
+      half.AddView(all.views[i]);
+    }
+    configs.push_back(std::move(half));
+  }
+  return configs;
+}
+
+/// Every (query, configuration) cell: Cost() == CostExplained().total_cost
+/// bit for bit, and the explanation's parts add up. Returns the number of
+/// cells whose plan read a view (so callers can assert coverage).
+size_t ExpectCostMatchesExplained(const Schema& schema, const Workload& wl) {
+  WhatIfOptimizer opt(schema);
+  size_t view_cells = 0;
+  for (const Configuration& config : ExplainConfigs(schema, wl)) {
+    for (const Query& q : wl.queries()) {
+      PlanExplanation ex;
+      const double explained = opt.CostExplained(q, config, &ex);
+      const double plain = opt.Cost(q, config);
+      EXPECT_TRUE(SameBits(plain, explained)) << "query " << q.id;
+      EXPECT_TRUE(SameBits(plain, ex.total_cost)) << "query " << q.id;
+      EXPECT_EQ(ex.total_cost, ex.select_cost + ex.update_cost);
+      if (!q.select.accesses.empty()) {
+        EXPECT_FALSE(ex.access_paths.empty()) << "query " << q.id;
+      }
+      view_cells += ex.used_view ? 1 : 0;
+    }
+  }
+  return view_cells;
+}
+
+TEST(WhatIfExplainTest, CostMatchesExplainedOnTpcd) {
+  Schema schema = SmallTpcdSchema();
+  Workload wl = SmallTpcdWorkload(schema, 240);
+  EXPECT_GT(ExpectCostMatchesExplained(schema, wl), 0u)
+      << "the rich configuration should answer some query from a view";
+}
+
+TEST(WhatIfExplainTest, CostMatchesExplainedOnCrm) {
+  Schema schema = SmallCrmSchema();
+  Workload wl = SmallCrmTrace(schema, 400);
+  ASSERT_GT(wl.DmlFraction(), 0.0);
+  ExpectCostMatchesExplained(schema, wl);
+}
+
+TEST(WhatIfExplainTest, CostMatchesExplainedOnZipfScenario) {
+  Schema schema = SmallTpcdSchema();
+  auto opt = ParseScenarioSpec("zipf:0.99,rw:0.8,n:600,seed:5");
+  ASSERT_TRUE(opt.ok());
+  Workload wl = GenerateScenarioWorkload(schema, *opt);
+  ASSERT_GT(wl.DmlFraction(), 0.0);
+  ExpectCostMatchesExplained(schema, wl);
+}
+
+TEST(WhatIfExplainTest, ConcurrentPricingIsBitIdentical) {
+  // Serve workers share one optimizer: pricing from several threads must
+  // read no shared mutable state beyond the atomic call counters.
+  Schema schema = SmallTpcdSchema();
+  Workload wl = SmallTpcdWorkload(schema, 120);
+  std::vector<Configuration> configs = ExplainConfigs(schema, wl);
+  WhatIfOptimizer opt(schema);
+  const size_t cells = wl.size() * configs.size();
+  std::vector<double> serial(cells), parallel(cells);
+  for (size_t i = 0; i < cells; ++i) {
+    serial[i] = opt.Cost(wl.query(static_cast<QueryId>(i / configs.size())),
+                         configs[i % configs.size()]);
+  }
+  opt.ResetCallCounter();
+  std::vector<std::thread> threads;
+  constexpr size_t kThreads = 4;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < cells; i += kThreads) {
+        PlanExplanation ex;
+        const Query& q = wl.query(static_cast<QueryId>(i / configs.size()));
+        parallel[i] = (i % 2 == 0)
+                          ? opt.Cost(q, configs[i % configs.size()])
+                          : opt.CostExplained(q, configs[i % configs.size()],
+                                              &ex);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(opt.num_calls(), cells);
+  EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
+                        cells * sizeof(double)),
+            0);
+}
+
+class WhatIfExplainPathsTest : public WhatIfTest {
+ protected:
+  ColumnId Col(TableId t, const char* name) const {
+    return schema_.table(t).FindColumn(name);
+  }
+  TableAccess Access(TableId t, std::vector<const char*> columns) const {
+    TableAccess a;
+    a.table = t;
+    for (const char* c : columns) a.referenced_columns.push_back(Col(t, c));
+    return a;
+  }
+  static void AddPredicate(TableAccess* a, ColumnId column, PredOp op,
+                           double selectivity) {
+    Predicate p;
+    p.column = {a->table, column};
+    p.op = op;
+    p.selectivity = selectivity;
+    a->predicates.push_back(p);
+  }
+  Index MakeIndex(TableId t, std::vector<const char*> keys,
+                  std::vector<const char*> includes = {}) const {
+    Index i;
+    i.table = t;
+    for (const char* c : keys) i.key_columns.push_back(Col(t, c));
+    for (const char* c : includes) i.include_columns.push_back(Col(t, c));
+    return i;
+  }
+  std::vector<std::string> Paths(const Query& q,
+                                 const Configuration& config) const {
+    PlanExplanation ex;
+    const double explained = opt_.CostExplained(q, config, &ex);
+    EXPECT_TRUE(SameBits(explained, opt_.Cost(q, config)));
+    return ex.access_paths;
+  }
+  /// orders (selective o_orderdate range) joined to customer on custkey.
+  Query OrdersCustomerJoin() const {
+    Query q;
+    TableAccess orders = Access(kOrders, {"o_custkey", "o_orderdate"});
+    AddPredicate(&orders, Col(kOrders, "o_orderdate"), PredOp::kRange, 1e-5);
+    q.select.accesses.push_back(orders);
+    q.select.accesses.push_back(Access(kCustomer, {"c_custkey", "c_acctbal"}));
+    q.select.joins.push_back(JoinEdge{0, 1, Col(kOrders, "o_custkey"),
+                                      Col(kCustomer, "c_custkey")});
+    return q;
+  }
+};
+
+TEST_F(WhatIfExplainPathsTest, SingleTablePlanKinds) {
+  Configuration empty("empty");
+  Query scan;
+  scan.select.accesses.push_back(Access(kCustomer, {"c_custkey"}));
+  EXPECT_EQ(Paths(scan, empty),
+            std::vector<std::string>{"heap_scan(customer)"});
+
+  Query lookup;
+  lookup.select.accesses.push_back(Access(kCustomer, {"c_custkey"}));
+  AddPredicate(&lookup.select.accesses[0], Col(kCustomer, "c_custkey"),
+               PredOp::kEq, 1.0 / 7500.0);
+  Configuration seek("seek");
+  seek.AddIndex(MakeIndex(kCustomer, {"c_custkey"}));
+  EXPECT_EQ(Paths(lookup, seek),
+            std::vector<std::string>{"index_seek(ix_customer(c_custkey))"});
+
+  Query range;
+  range.select.accesses.push_back(Access(kCustomer, {"c_acctbal"}));
+  AddPredicate(&range.select.accesses[0], Col(kCustomer, "c_acctbal"),
+               PredOp::kRange, 0.001);
+  Configuration ranged("range");
+  ranged.AddIndex(MakeIndex(kCustomer, {"c_acctbal"}));
+  EXPECT_EQ(Paths(range, ranged),
+            std::vector<std::string>{"index_range(ix_customer(c_acctbal))"});
+
+  // No sargable predicate, but a narrow index covers the access.
+  Configuration covering("covering");
+  covering.AddIndex(MakeIndex(kCustomer, {"c_acctbal"}, {"c_custkey"}));
+  EXPECT_EQ(Paths(scan, covering),
+            std::vector<std::string>{
+                "index_scan(ix_customer(c_acctbal)incl(c_custkey))"});
+}
+
+TEST_F(WhatIfExplainPathsTest, JoinPlanKinds) {
+  Query q = OrdersCustomerJoin();
+  Configuration empty("empty");
+  EXPECT_EQ(Paths(q, empty),
+            (std::vector<std::string>{"heap_scan(orders)",
+                                      "heap_scan(customer)+hash"}));
+
+  Configuration probe("probe");
+  probe.AddIndex(MakeIndex(kOrders, {"o_orderdate"}, {"o_custkey"}));
+  probe.AddIndex(MakeIndex(kCustomer, {"c_custkey"}));
+  EXPECT_EQ(Paths(q, probe),
+            (std::vector<std::string>{
+                "index_range(ix_orders(o_orderdate)incl(o_custkey))",
+                "inlj(customer.c_custkey)"}));
+
+  Configuration with_view("view");
+  MaterializedView v = ViewAnswering(q);
+  v.row_count = 10;
+  with_view.AddView(v);
+  PlanExplanation ex;
+  opt_.CostExplained(q, with_view, &ex);
+  EXPECT_TRUE(ex.used_view);
+  EXPECT_EQ(ex.access_paths,
+            (std::vector<std::string>{"heap_scan(orders)",
+                                      "heap_scan(customer)+hash",
+                                      "view_scan"}));
 }
 
 // ViewMatchCost edge cases: structural near-misses must be skipped — a

@@ -173,5 +173,75 @@ TEST(WorkloadTest, ValidateRejectsBadSelectivity) {
   EXPECT_FALSE(wl.Validate().ok());
 }
 
+/// Four single-column accesses (customer, orders, lineitem, part) with the
+/// given join edges, all on column 0.
+Query FourAccessQuery(std::vector<std::pair<uint32_t, uint32_t>> edges) {
+  Query q;
+  q.template_id = 0;
+  for (TableId t : {TableId{kCustomer}, TableId{kOrders}, TableId{kLineitem},
+                    TableId{kPart}}) {
+    TableAccess a;
+    a.table = t;
+    a.referenced_columns = {0};
+    q.select.accesses.push_back(a);
+  }
+  for (auto [l, r] : edges) {
+    q.select.joins.push_back(JoinEdge{l, r, 0, 0});
+  }
+  return q;
+}
+
+Workload OneQueryWorkload(const Schema* schema, Query q) {
+  Workload wl(schema);
+  QueryTemplate tmpl;
+  tmpl.name = "t";
+  wl.AddTemplate(std::move(tmpl));
+  wl.AddQuery(std::move(q));
+  return wl;
+}
+
+TEST(WorkloadTest, ValidateRejectsDisconnectedJoinOrder) {
+  // Joins (0,1),(2,3): the second edge touches no table of the joined
+  // prefix {0,1}. Pricing it used to abort the process; it is now an
+  // InvalidArgument at validation time.
+  Schema schema = SmallTpcdSchema();
+  Workload wl = OneQueryWorkload(&schema, FourAccessQuery({{0, 1}, {2, 3}}));
+  Status st = wl.Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("disconnected"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(WorkloadTest, ValidateAcceptsConnectedJoinOrders) {
+  Schema schema = SmallTpcdSchema();
+  // A chain, a star whose edges name the prefix on either side, and a
+  // redundant edge inside the prefix are all connected orders.
+  for (const auto& edges :
+       std::vector<std::vector<std::pair<uint32_t, uint32_t>>>{
+           {{0, 1}, {1, 2}, {2, 3}},
+           {{1, 0}, {2, 1}, {1, 3}},
+           {{0, 1}, {1, 0}, {3, 1}, {2, 3}}}) {
+    Workload wl = OneQueryWorkload(&schema, FourAccessQuery(edges));
+    EXPECT_TRUE(wl.Validate().ok()) << wl.Validate().ToString();
+  }
+}
+
+TEST(WorkloadTest, ValidateRejectsBadJoinColumnsAndTooManyAccesses) {
+  Schema schema = SmallTpcdSchema();
+  Query bad_column = FourAccessQuery({{0, 1}});
+  bad_column.select.joins[0].right_column = 999;
+  Status st = OneQueryWorkload(&schema, bad_column).Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("join column"), std::string::npos);
+
+  Query wide;
+  wide.template_id = 0;
+  wide.select.accesses.resize(SelectSpec::kMaxAccesses + 1);
+  for (TableAccess& a : wide.select.accesses) a.table = kCustomer;
+  st = OneQueryWorkload(&schema, wide).Validate();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("too many"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace pdx
