@@ -34,13 +34,14 @@ std::string GoldenDir() {
 }
 
 std::vector<std::string> GoldenCaseNames() {
-  return {"delta_stratified", "independent_unstratified", "fault_degraded",
-          "zipf_scenario"};
+  return {"delta_stratified",       "independent_unstratified",
+          "fault_degraded",         "zipf_scenario",
+          "independent_stratified", "delta_dynamic_budget"};
 }
 
 namespace {
 
-/// The canonical selection problem all three cases run on: 120 queries
+/// The canonical selection problem most cases run on: 120 queries
 /// over 6 templates with two orders of magnitude of per-template scale,
 /// 4 configurations with ~3% relative total gaps. Deterministic.
 MatrixInstance BuildGoldenMatrix() {
@@ -106,6 +107,39 @@ MatrixInstance BuildZipfGoldenMatrix() {
   return inst;
 }
 
+/// The Independent stratified case needs a larger instance: on the
+/// canonical 120-query matrix Independent Sampling never splits a
+/// stratum nor eliminates a configuration. 2000 queries round-robin over
+/// 12 templates whose scale spans three orders of magnitude, 6
+/// configurations sharing each query's cost factor, configuration 0
+/// best by ~6%. Deterministic.
+MatrixInstance BuildIndependentGoldenMatrix() {
+  Rng rng(0x1DE5ull);
+  MatrixInstance inst;
+  inst.seed = 0x1DE5ull;
+  inst.shape = MatrixShape::kUniform;
+  const size_t q = 2000, configs = 6, templates = 12;
+  inst.num_configs = configs;
+  inst.num_templates = templates;
+  inst.templates.resize(q);
+  inst.costs.assign(q, std::vector<double>(configs, 0.0));
+  for (size_t i = 0; i < q; ++i) {
+    const TemplateId t = static_cast<TemplateId>(i % templates);
+    inst.templates[i] = t;
+    const double base = std::pow(10.0, 1.0 + 3.0 * t / double(templates));
+    const double query_factor =
+        std::max(0.05, 1.0 + 0.2 * rng.NextGaussian());
+    for (size_t c = 0; c < configs; ++c) {
+      const double config_factor =
+          c == 0 ? 1.0 : 1.0 + 0.06 * (1.0 + 0.3 * static_cast<double>(c - 1));
+      const double noise = std::max(0.1, 1.0 + 0.05 * rng.NextGaussian());
+      inst.costs[i][c] =
+          std::max(0.01, base * query_factor * config_factor * noise);
+    }
+  }
+  return inst;
+}
+
 class GoldenRowBoundsProvider : public CellBoundsProvider {
  public:
   explicit GoldenRowBoundsProvider(const MatrixInstance* inst) : inst_(inst) {}
@@ -161,7 +195,9 @@ Status WriteStringToFile(const std::string& path, const std::string& content) {
 
 std::string ProduceGoldenContent(const std::string& name) {
   const MatrixInstance inst =
-      name == "zipf_scenario" ? BuildZipfGoldenMatrix() : BuildGoldenMatrix();
+      name == "zipf_scenario"            ? BuildZipfGoldenMatrix()
+      : name == "independent_stratified" ? BuildIndependentGoldenMatrix()
+                                         : BuildGoldenMatrix();
   MatrixCostSource source(inst.costs, inst.templates, inst.num_configs);
 
   SelectorOptions opts;
@@ -198,6 +234,17 @@ std::string ProduceGoldenContent(const std::string& name) {
     opts.scheme = SamplingScheme::kDelta;
     opts.stratify = true;
     run_seed = 0x601D0004ull;
+  } else if (name == "independent_stratified") {
+    opts.scheme = SamplingScheme::kIndependent;
+    opts.stratify = true;
+    run_seed = 0x601D0005ull;
+  } else if (name == "delta_dynamic_budget") {
+    opts.scheme = SamplingScheme::kDelta;
+    opts.stratify = true;
+    opts.alpha = 0.999;
+    opts.budget_policy = BudgetPolicy::kDynamic;
+    opts.bounds = &bounds;
+    run_seed = 0x601D0006ull;
   } else {
     PDX_CHECK_MSG(false, "unknown golden case name");
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/budget.h"
 #include "test_util.h"
 
 namespace pdx {
@@ -65,6 +66,65 @@ TEST(FixedBudgetTest, DeltaOutputsArePinned) {
     FixedBudgetResult r = FixedBudgetSelect(&src, 1500, opt, &rng);
     EXPECT_EQ(Fingerprint(r), leg.fingerprint)
         << std::hex << "got 0x" << Fingerprint(r);
+  }
+}
+
+TEST(FixedBudgetTest, IndependentBaselineAndDynamicOutputsArePinned) {
+  // The remaining fixed-budget paths — every Independent allocation, the
+  // uniform / equal-allocation baselines of both schemes, and both schemes
+  // under dynamic budget reallocation — pinned to fingerprints recorded
+  // before the selection loops shared one round engine. The dynamic legs
+  // run on a wide-gap instance with tight (2%) bounds, where interval
+  // dominance fires.
+  MatrixCostSource src = SyntheticMatrix(3000, 6, 16, 0.01, 71);
+  MatrixCostSource wide = SyntheticMatrix(600, 4, 8, 0.3, 73);
+  std::vector<std::vector<double>> cols(wide.num_configs());
+  for (ConfigId c = 0; c < wide.num_configs(); ++c) cols[c] = wide.Column(c);
+  StaleCostBoundsProvider bounds(
+      wide.num_queries(), wide.num_configs(),
+      [&](QueryId q, ConfigId c) { return cols[c][q]; }, 0.02);
+  struct Leg {
+    SamplingScheme scheme;
+    AllocationPolicy allocation;
+    bool stratify;
+    BudgetPolicy budget;
+    uint64_t fingerprint;
+    uint64_t dominance_eliminations;
+  };
+  using AP = AllocationPolicy;
+  const SamplingScheme kD = SamplingScheme::kDelta;
+  const SamplingScheme kI = SamplingScheme::kIndependent;
+  const BudgetPolicy kS = BudgetPolicy::kStatic;
+  const BudgetPolicy kDyn = BudgetPolicy::kDynamic;
+  const Leg legs[] = {
+      {kI, AP::kVarianceGuided, true, kS, 0x220f2018a85a67f0ull, 0},
+      {kI, AP::kVarianceGuided, false, kS, 0x74495bf47657287cull, 0},
+      {kI, AP::kFinePerTemplate, false, kS, 0x4fe28af80ec7e03eull, 0},
+      {kI, AP::kUniform, false, kS, 0x4dd43a21d528b063ull, 0},
+      {kI, AP::kEqualPerTemplate, false, kS, 0x82ca0674a4b05a25ull, 0},
+      {kD, AP::kUniform, false, kS, 0xf964fb92dde5f4d3ull, 0},
+      {kD, AP::kEqualPerTemplate, false, kS, 0x7af04c90c79288c2ull, 0},
+      {kD, AP::kVarianceGuided, true, kDyn, 0xf0c1cf545f56192aull, 3},
+      {kD, AP::kFinePerTemplate, false, kDyn, 0xdb787e5029ff24daull, 3},
+      {kI, AP::kVarianceGuided, true, kDyn, 0x5338bd2d688c3671ull, 3},
+      {kI, AP::kFinePerTemplate, false, kDyn, 0x2870bc662bcdece5ull, 3},
+  };
+  for (const Leg& leg : legs) {
+    FixedBudgetOptions opt;
+    opt.scheme = leg.scheme;
+    opt.allocation = leg.allocation;
+    opt.stratify = leg.stratify;
+    opt.budget_policy = leg.budget;
+    opt.n_min = 12;
+    const bool dynamic = leg.budget == BudgetPolicy::kDynamic;
+    if (dynamic) opt.bounds = &bounds;
+    Rng rng(4343);
+    FixedBudgetResult r = FixedBudgetSelect(
+        dynamic ? &wide : &src,
+        !dynamic ? 1500 : leg.scheme == kD ? 500 : 2000, opt, &rng);
+    EXPECT_EQ(Fingerprint(r), leg.fingerprint)
+        << std::hex << "got 0x" << Fingerprint(r);
+    EXPECT_EQ(r.dominance_eliminations, leg.dominance_eliminations);
   }
 }
 
