@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/normal.h"
+#include "core/sampling_state.h"
 
 namespace pdx {
 
@@ -32,22 +33,6 @@ std::unique_ptr<BudgetManager> MaybeBudget(const FixedBudgetOptions& options,
                                          options.budget_model, nullptr);
 }
 
-// Splits the single-stratum stratification into one stratum per template.
-void MakeFineStrata(Stratification* strat) {
-  while (true) {
-    bool split_any = false;
-    for (uint32_t h = 0; h < strat->num_strata(); ++h) {
-      const std::vector<TemplateId>& members = strat->TemplatesOf(h);
-      if (members.size() > 1) {
-        strat->Split(h, {members.front()});
-        split_any = true;
-        break;
-      }
-    }
-    if (!split_any) return;
-  }
-}
-
 // Lowest estimate among still-active configurations: a dominance-
 // eliminated configuration is proven non-best by its envelope even when
 // its (partial-sample) estimate happens to undercut the winner's.
@@ -65,401 +50,170 @@ ConfigId ArgMin(const std::vector<double>& estimates,
   return best;
 }
 
-FixedBudgetResult RunDeltaFixed(CostSource* source, uint64_t query_budget,
-                                const FixedBudgetOptions& options, Rng* rng) {
-  const size_t k = source->num_configs();
-  const size_t T = source->num_templates();
-  const uint64_t calls_before = source->num_calls();
-  std::vector<uint64_t> pops = TemplatePopulationsOf(*source);
+// The fixed-budget split target (budget mode has no alpha): the stream
+// to split and its target variance, or nullopt for no split this round.
+struct SplitTarget {
+  uint32_t stream = 0;
+  double variance = 0.0;
+};
 
-  Stratification strat(pops);
-  if (options.allocation == AllocationPolicy::kEqualPerTemplate ||
-      options.allocation == AllocationPolicy::kFinePerTemplate) {
-    MakeFineStrata(&strat);
+// Delta: what would make the weakest pair, over every configuration,
+// confident at a nominal 95% level.
+std::optional<SplitTarget> FixedSplitTarget(const DeltaSampling& state,
+                                            ConfigId best,
+                                            std::vector<double>* diffs,
+                                            std::vector<double>* vars) {
+  const double z = NormalQuantile(0.975);
+  double target_se = std::numeric_limits<double>::infinity();
+  state.estimator().DiffStats(state.strat(0), *diffs, *vars);
+  for (ConfigId j = 0; j < diffs->size(); ++j) {
+    if (j == best) continue;
+    const double se = std::sqrt(std::max(0.0, (*vars)[j]));
+    const double gap = std::max(-(*diffs)[j], 0.25 * se);
+    if (gap > 0.0) target_se = std::min(target_se, gap / z);
   }
-  StratifiedSamplePool pool(*source, rng);
-  DeltaEstimator est(k, T, pops);
-  std::vector<bool> active(k, true);
-  std::vector<double> overheads =
-      options.overhead_aware ? PerTemplateOverheads(*source, pops)
-                             : std::vector<double>();
-
-  // Hot-loop buffers, allocated once per run (the estimator no-allocation
-  // rule). Under the static policy every sweep covers all k configurations
-  // in ascending order — the scalar visit order; the dynamic policy prices
-  // only the still-active ones (dominated configurations need no calls).
-  std::unique_ptr<BudgetManager> budget = MaybeBudget(options, k, pops);
-  std::vector<double> estimates_buf(k, 0.0);
-  std::vector<double> diffs_buf(k, 0.0);
-  std::vector<double> vars_buf(k, 0.0);
-  std::vector<double> costs_buf(k, 0.0);
-  std::vector<double> batch_vals(k, 0.0);
-  std::vector<double> uncert_vals(k, 0.0);
-  std::vector<double> pair_prcs_zero(k, 0.0);
-  std::vector<ConfigId> all_ids(k);
-  std::vector<ConfigId> batch_ids;
-  batch_ids.reserve(k);
-  for (ConfigId c = 0; c < k; ++c) all_ids[c] = c;
-
-  auto evaluate = [&](QueryId q) {
-    if (!budget) {
-      source->CostAcross(q, all_ids, costs_buf);
-      est.Add(q, source->TemplateOf(q), costs_buf);
-      return;
-    }
-    batch_ids.clear();
-    for (ConfigId c = 0; c < k; ++c) {
-      if (active[c]) batch_ids.push_back(c);
-    }
-    std::fill(costs_buf.begin(), costs_buf.end(),
-              std::numeric_limits<double>::quiet_NaN());
-    std::span<double> vals(batch_vals.data(), batch_ids.size());
-    source->CostAcross(q, batch_ids, vals);
-    for (size_t i = 0; i < batch_ids.size(); ++i) {
-      costs_buf[batch_ids[i]] = vals[i];
-    }
-    // Degraded cells (a fault-tolerant source) must enter the envelope as
-    // interval mass, never as exact costs.
-    std::span<double> uncerts(uncert_vals.data(), batch_ids.size());
-    source->CostUncertaintyAcross(q, batch_ids, uncerts);
-    est.Add(q, source->TemplateOf(q), costs_buf);
-    for (size_t i = 0; i < batch_ids.size(); ++i) {
-      budget->ObserveSample(q, batch_ids[i], vals[i], uncerts[i]);
-    }
-  };
-
-  uint64_t drawn = 0;
-  auto draw_from = [&](uint32_t h) {
-    std::optional<QueryId> q = pool.Draw(strat, h, rng);
-    if (!q) q = pool.DrawGlobal(rng);
-    if (!q) return false;
-    evaluate(*q);
-    ++drawn;
-    return true;
-  };
-
-  switch (options.allocation) {
-    case AllocationPolicy::kUniform: {
-      while (drawn < query_budget) {
-        std::optional<QueryId> q = pool.DrawGlobal(rng);
-        if (!q) break;
-        evaluate(*q);
-        ++drawn;
-      }
-      break;
-    }
-    case AllocationPolicy::kEqualPerTemplate: {
-      // Round-robin over strata (= templates).
-      bool progressed = true;
-      while (drawn < query_budget && progressed) {
-        progressed = false;
-        for (uint32_t h = 0; h < strat.num_strata() && drawn < query_budget;
-             ++h) {
-          std::optional<QueryId> q = pool.Draw(strat, h, rng);
-          if (!q) continue;
-          evaluate(*q);
-          ++drawn;
-          progressed = true;
-        }
-      }
-      break;
-    }
-    case AllocationPolicy::kFinePerTemplate:
-    case AllocationPolicy::kVarianceGuided: {
-      const bool fine =
-          options.allocation == AllocationPolicy::kFinePerTemplate;
-      // Pilot.
-      if (fine) {
-        // One pass of round-robin so each stratum has an estimate seed.
-        for (uint32_t h = 0; h < strat.num_strata() && drawn < query_budget;
-             ++h) {
-          draw_from(h);
-        }
-      }
-      while (drawn < query_budget && pool.RemainingTotal() > 0 &&
-             drawn < options.n_min && !fine) {
-        std::optional<QueryId> q = pool.DrawGlobal(rng);
-        if (!q) break;
-        evaluate(*q);
-        ++drawn;
-      }
-      // Variance-guided allocation, with progressive splits when enabled.
-      uint64_t iteration = 0;
-      while (drawn < query_budget && pool.RemainingTotal() > 0) {
-        ++iteration;
-        ConfigId best = 0;
-        double best_est = std::numeric_limits<double>::infinity();
-        est.Estimates(strat, estimates_buf);
-        for (ConfigId c = 0; c < k; ++c) {
-          if (estimates_buf[c] < best_est) {
-            best_est = estimates_buf[c];
-            best = c;
-          }
-        }
-        est.SetReference(best);
-
-        // Dynamic budget reallocation: fixed-budget mode has no Pr(CS)
-        // machinery, so the VOI gain is priced with the conservative
-        // zero-confidence pair weights; a dominated configuration stops
-        // being priced and its budget share flows to the live pairs.
-        if (budget) {
-          std::vector<ConfigId> dominated = budget->DecideRound(
-              iteration, best, active, pair_prcs_zero, 0.0);
-          for (ConfigId j : dominated) active[j] = false;
-        }
-
-        if (!fine && options.stratify) {
-          // Target variance: what would make the weakest pair confident at
-          // a nominal 95% level (budget mode has no alpha).
-          double z = NormalQuantile(0.975);
-          double target_se = std::numeric_limits<double>::infinity();
-          est.DiffStats(strat, diffs_buf, vars_buf);
-          for (ConfigId j = 0; j < k; ++j) {
-            if (j == best) continue;
-            double gap = -diffs_buf[j];
-            double se = std::sqrt(std::max(0.0, vars_buf[j]));
-            gap = std::max(gap, 0.25 * se);
-            if (gap > 0.0) target_se = std::min(target_se, gap / z);
-          }
-          if (std::isfinite(target_se) && target_se > 0.0) {
-            SplitDecision dec = FindBestSplit(
-                strat, est.AveragedDiffTemplateStats(active),
-                target_se * target_se, options.n_min,
-                options.min_template_observations);
-            if (dec.beneficial) {
-              uint32_t old_stratum = dec.stratum;
-              strat.Split(old_stratum, dec.part1);
-              uint32_t new_stratum =
-                  static_cast<uint32_t>(strat.num_strata() - 1);
-              for (uint32_t h : {old_stratum, new_stratum}) {
-                while (est.SamplesIn(strat, h) < options.n_min &&
-                       drawn < query_budget) {
-                  if (!draw_from(h)) break;
-                }
-              }
-            }
-          }
-        }
-        if (drawn >= query_budget) break;
-
-        uint32_t chosen = 0;
-        double best_score = -1.0;
-        for (uint32_t h = 0; h < strat.num_strata(); ++h) {
-          if (pool.RemainingInStratum(strat, h) == 0) continue;
-          double red = est.VarianceReductionForNext(strat, h, active);
-          if (options.overhead_aware) {
-            red /= StratumMeanOverhead(strat, h, overheads, pops);
-          }
-          if (red > best_score) {
-            best_score = red;
-            chosen = h;
-          }
-        }
-        if (!draw_from(chosen)) break;
-      }
-      break;
-    }
-  }
-
-  FixedBudgetResult out;
-  out.estimates.resize(k);
-  est.Estimates(strat, out.estimates);
-  out.best = ArgMin(out.estimates, active);
-  out.queries_sampled = est.TotalSamples();
-  out.optimizer_calls = source->num_calls() - calls_before;
-  if (budget) {
-    const BudgetStats& bs = budget->stats();
-    out.optimizer_calls += bs.bound_refinement_calls;
-    out.bound_refinement_calls = bs.bound_refinement_calls;
-    out.dominance_eliminations = bs.dominance_eliminations;
-    out.refined_queries = bs.refined_queries;
-  }
-  return out;
+  if (!std::isfinite(target_se) || target_se <= 0.0) return std::nullopt;
+  return SplitTarget{0, target_se * target_se};
 }
 
-FixedBudgetResult RunIndependentFixed(CostSource* source,
-                                      uint64_t query_budget,
-                                      const FixedBudgetOptions& options,
-                                      Rng* rng) {
-  const size_t k = source->num_configs();
-  const size_t T = source->num_templates();
-  const uint64_t calls_before = source->num_calls();
-  std::vector<uint64_t> pops = TemplatePopulationsOf(*source);
-
-  std::vector<Stratification> strat;
-  std::vector<StratifiedSamplePool> pools;
-  for (size_t c = 0; c < k; ++c) {
-    strat.emplace_back(pops);
-    pools.emplace_back(*source, rng);
-    if (options.allocation == AllocationPolicy::kEqualPerTemplate ||
-        options.allocation == AllocationPolicy::kFinePerTemplate) {
-      MakeFineStrata(&strat.back());
+// Independent: the highest-variance active configuration (a cheap
+// surrogate for "last sampled" in budget mode), at a quarter of its
+// variance over z^2.
+std::optional<SplitTarget> FixedSplitTarget(const IndependentSampling& state,
+                                            ConfigId /*best*/,
+                                            std::vector<double>* /*diffs*/,
+                                            std::vector<double>* /*vars*/) {
+  ConfigId target = 0;
+  double worst = -1.0;
+  for (ConfigId c = 0; c < state.active().size(); ++c) {
+    if (state.active()[c] && state.variance(c) > worst) {
+      worst = state.variance(c);
+      target = c;
     }
   }
-  IndependentEstimator est(k, T, pops);
-  std::vector<bool> active(k, true);
-  std::unique_ptr<BudgetManager> budget = MaybeBudget(options, k, pops);
-  std::vector<double> pair_prcs_zero(k, 0.0);
-  uint64_t drawn = 0;
+  const double z = NormalQuantile(0.975);
+  const double var = state.estimator().Variance(target, state.strat(target));
+  return SplitTarget{target, var / (z * z * 4.0)};
+}
 
-  auto draw_for = [&](ConfigId c, uint32_t h) {
-    std::optional<QueryId> q = pools[c].Draw(strat[c], h, rng);
-    if (!q) q = pools[c].DrawGlobal(rng);
+// The §7 comparisons: one selection spending at most `query_budget` draws.
+// The variance-guided and fine allocations run Algorithm 1's machinery
+// truncated at the budget (DESIGN.md §16 lists where it departs from the
+// selector's loop); uniform and equal allocation are plain baselines.
+template <class State>
+FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
+                           const FixedBudgetOptions& options, Rng* rng) {
+  const size_t k = source->num_configs();
+  const uint64_t calls_before = source->num_calls();
+  const std::vector<uint64_t> pops = TemplatePopulationsOf(*source);
+  std::unique_ptr<BudgetManager> budget = MaybeBudget(options, k, pops);
+  State state(source, pops, rng, budget.get(), /*feed_uncertainty=*/false);
+  const bool fine = options.allocation == AllocationPolicy::kFinePerTemplate;
+  if (fine || options.allocation == AllocationPolicy::kEqualPerTemplate) {
+    state.SplitPerTemplate();
+  }
+  const std::vector<double> overheads =
+      options.overhead_aware ? PerTemplateOverheads(*source, pops)
+                             : std::vector<double>();
+  auto spent = [&] { return state.samples() >= query_budget; };
+  auto draw = [&](uint32_t s, uint32_t h, bool global_fallback) {
+    std::optional<QueryId> q = state.Draw(s, h, global_fallback);
     if (!q) return false;
-    double cost = source->Cost(*q, c);
-    est.Add(c, source->TemplateOf(*q), cost);
-    if (budget) {
-      budget->ObserveSample(*q, c, cost, source->CostUncertainty(*q, c));
-    }
-    ++drawn;
+    state.Evaluate(s, *q, /*span=*/false);
     return true;
   };
 
-  switch (options.allocation) {
-    case AllocationPolicy::kUniform: {
-      ConfigId c = 0;
-      while (drawn < query_budget) {
-        std::optional<QueryId> q = pools[c].DrawGlobal(rng);
-        if (!q) break;
-        est.Add(c, source->TemplateOf(*q), source->Cost(*q, c));
-        ++drawn;
-        c = static_cast<ConfigId>((c + 1) % k);
-      }
-      break;
+  if (options.allocation == AllocationPolicy::kUniform) {
+    // Uniform draws, round-robin over the streams.
+    for (uint32_t s = 0; !spent(); s = (s + 1) % state.num_streams()) {
+      std::optional<QueryId> q = state.DrawGlobal(s);
+      if (!q) break;
+      state.Evaluate(s, *q, /*span=*/false);
     }
-    case AllocationPolicy::kEqualPerTemplate: {
-      bool progressed = true;
-      while (drawn < query_budget && progressed) {
-        progressed = false;
-        for (ConfigId c = 0; c < k && drawn < query_budget; ++c) {
-          for (uint32_t h = 0;
-               h < strat[c].num_strata() && drawn < query_budget; ++h) {
-            std::optional<QueryId> q = pools[c].Draw(strat[c], h, rng);
-            if (!q) continue;
-            est.Add(c, source->TemplateOf(*q), source->Cost(*q, c));
-            ++drawn;
-            progressed = true;
-          }
+  } else if (options.allocation == AllocationPolicy::kEqualPerTemplate) {
+    // Round-robin over every stream's strata (= templates).
+    bool progressed = true;
+    while (!spent() && progressed) {
+      progressed = false;
+      for (uint32_t s = 0; s < state.num_streams() && !spent(); ++s) {
+        for (uint32_t h = 0; h < state.strat(s).num_strata() && !spent();
+             ++h) {
+          progressed |= draw(s, h, false);
         }
       }
-      break;
     }
-    case AllocationPolicy::kFinePerTemplate:
-    case AllocationPolicy::kVarianceGuided: {
-      const bool fine =
-          options.allocation == AllocationPolicy::kFinePerTemplate;
-      if (fine) {
-        for (ConfigId c = 0; c < k; ++c) {
-          for (uint32_t h = 0;
-               h < strat[c].num_strata() && drawn < query_budget; ++h) {
-            draw_for(c, h);
-          }
-        }
-      } else {
-        // Pilot: n_min per configuration, round-robin.
-        for (uint32_t i = 0; i < options.n_min && drawn < query_budget; ++i) {
-          for (ConfigId c = 0; c < k && drawn < query_budget; ++c) {
-            std::optional<QueryId> q = pools[c].DrawGlobal(rng);
-            if (!q) continue;
-            double cost = source->Cost(*q, c);
-            est.Add(c, source->TemplateOf(*q), cost);
-            if (budget) {
-              budget->ObserveSample(*q, c, cost,
-                                    source->CostUncertainty(*q, c));
-            }
-            ++drawn;
-          }
+  } else {
+    // Pilot: fine allocation seeds every stratum once; otherwise n_min
+    // uniform draws per stream, round-robin.
+    if (fine) {
+      for (uint32_t s = 0; s < state.num_streams(); ++s) {
+        for (uint32_t h = 0; h < state.strat(s).num_strata() && !spent();
+             ++h) {
+          draw(s, h, true);
         }
       }
-      uint64_t stale_guard = 0;
-      uint64_t iteration = 0;
-      while (drawn < query_budget) {
-        ++iteration;
-        // Dynamic budget reallocation; see the Delta path.
-        if (budget) {
-          ConfigId inc = 0;
-          double inc_est = std::numeric_limits<double>::infinity();
-          for (ConfigId c = 0; c < k; ++c) {
-            if (!active[c]) continue;
-            double e = est.Estimate(c, strat[c]);
-            if (e < inc_est) {
-              inc_est = e;
-              inc = c;
-            }
-          }
-          std::vector<ConfigId> dominated = budget->DecideRound(
-              iteration, inc, active, pair_prcs_zero, 0.0);
-          for (ConfigId j : dominated) active[j] = false;
+    } else {
+      for (uint32_t i = 0; i < options.n_min && !spent(); ++i) {
+        for (uint32_t s = 0; s < state.num_streams() && !spent(); ++s) {
+          std::optional<QueryId> q = state.DrawGlobal(s);
+          if (q) state.Evaluate(s, *q, /*span=*/false);
         }
-        // Progressive split for the configuration with the highest
-        // variance (cheap surrogate for "last sampled" in budget mode).
-        if (!fine && options.stratify) {
-          ConfigId target = 0;
-          double worst = -1.0;
-          for (ConfigId c = 0; c < k; ++c) {
-            if (!active[c]) continue;  // all true under the static policy
-            double v = est.Variance(c, strat[c]);
-            if (v > worst) {
-              worst = v;
-              target = c;
-            }
-          }
-          double z = NormalQuantile(0.975);
-          double var = est.Variance(target, strat[target]);
-          double target_var = var / (z * z * 4.0);
+      }
+    }
+    // Delta's reference ranges over every configuration, dominated ones
+    // included; dynamic reallocation prices with zero pair weights.
+    const std::vector<bool> everyone(k, true);
+    const std::vector<double> no_confidence(k, 0.0);
+    std::vector<double> diffs(k, 0.0);
+    std::vector<double> vars(k, 0.0);
+    uint64_t iteration = 0;
+    while (!spent()) {
+      if constexpr (State::kShared) {
+        if (state.Exhausted()) break;
+      }
+      ++iteration;
+      const ConfigId best =
+          state.Incumbent(State::kShared ? everyone : state.active());
+      // Dynamic budget reallocation: fixed-budget mode has no Pr(CS)
+      // machinery, so the VOI gain is priced with the conservative
+      // zero-confidence pair weights; a dominated configuration stops
+      // being priced and its budget share flows to the live pairs.
+      if (budget) {
+        for (ConfigId j : budget->DecideRound(iteration, best, state.active(),
+                                              no_confidence, 0.0)) {
+          state.Deactivate(j);
+        }
+      }
+      if (!fine && options.stratify) {
+        const std::optional<SplitTarget> target =
+            FixedSplitTarget(state, best, &diffs, &vars);
+        if (target) {
+          const uint32_t s = target->stream;
           SplitDecision dec = FindBestSplit(
-              strat[target], est.TemplateStatsFor(target), target_var,
+              state.strat(s), state.SplitStats(s), target->variance,
               options.n_min, options.min_template_observations);
           if (dec.beneficial) {
-            uint32_t old_stratum = dec.stratum;
-            strat[target].Split(old_stratum, dec.part1);
-            uint32_t new_stratum =
-                static_cast<uint32_t>(strat[target].num_strata() - 1);
-            for (uint32_t h : {old_stratum, new_stratum}) {
-              while (est.SamplesIn(target, strat[target], h) < options.n_min &&
-                     drawn < query_budget) {
-                if (!draw_for(target, h)) break;
+            const uint32_t new_stratum = state.Split(s, dec.stratum, dec.part1);
+            // Top-up to n_min, truncated by the budget.
+            for (uint32_t h : {dec.stratum, new_stratum}) {
+              while (state.SamplesIn(s, h) < options.n_min && !spent()) {
+                if (!draw(s, h, true)) break;
               }
             }
           }
         }
-        if (drawn >= query_budget) break;
-
-        ConfigId chosen_c = 0;
-        uint32_t chosen_h = 0;
-        double best_score = -1.0;
-        for (ConfigId c = 0; c < k; ++c) {
-          if (!active[c]) continue;  // all true under the static policy
-          for (uint32_t h = 0; h < strat[c].num_strata(); ++h) {
-            if (pools[c].RemainingInStratum(strat[c], h) == 0) continue;
-            double red = est.VarianceReductionForNext(c, strat[c], h);
-            if (red > best_score) {
-              best_score = red;
-              chosen_c = c;
-              chosen_h = h;
-            }
-          }
-        }
-        if (best_score < 0.0) break;  // all pools exhausted
-        if (!draw_for(chosen_c, chosen_h)) {
-          if (++stale_guard > k) break;
-        } else {
-          stale_guard = 0;
-        }
       }
-      break;
+      if (spent()) break;
+      const NextDraw next =
+          ChooseNextDraw(state, state.StreamOf(best), overheads, pops);
+      if (next.score < 0.0 || !draw(next.stream, next.stratum, true)) break;
     }
   }
 
   FixedBudgetResult out;
-  out.estimates.resize(k);
-  for (ConfigId c = 0; c < k; ++c) {
-    out.estimates[c] = est.Estimate(c, strat[c]);
-  }
-  out.best = ArgMin(out.estimates, active);
-  uint64_t total = 0;
-  for (ConfigId c = 0; c < k; ++c) total += est.TotalSamples(c);
-  out.queries_sampled = total;
+  out.estimates = state.Estimates();
+  out.best = ArgMin(out.estimates, state.active());
+  out.queries_sampled = state.samples();
   out.optimizer_calls = source->num_calls() - calls_before;
   if (budget) {
     const BudgetStats& bs = budget->stats();
@@ -496,9 +250,9 @@ FixedBudgetResult FixedBudgetSelect(CostSource* source, uint64_t query_budget,
     return out;
   }
   if (options.scheme == SamplingScheme::kDelta) {
-    return RunDeltaFixed(source, query_budget, options, rng);
+    return RunFixed<DeltaSampling>(source, query_budget, options, rng);
   }
-  return RunIndependentFixed(source, query_budget, options, rng);
+  return RunFixed<IndependentSampling>(source, query_budget, options, rng);
 }
 
 }  // namespace pdx

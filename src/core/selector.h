@@ -162,8 +162,10 @@ class ConfigurationSelector {
 
  private:
   SelectionResult RunScheme(Rng* rng);
-  SelectionResult RunIndependent(Rng* rng);
-  SelectionResult RunDelta(Rng* rng);
+  /// Algorithm 1's round loop over a sampling state (core/sampling_state.h):
+  /// DeltaSampling or IndependentSampling.
+  template <class State>
+  SelectionResult RunRounds(Rng* rng);
 
   /// z-score required per pairwise comparison after Bonferroni splitting
   /// of (1 - alpha) across `active_pairs` comparisons.
