@@ -351,12 +351,9 @@ SelectionResult ConfigurationSelector::RunRounds(Rng* rng) {
         result.dominance_eliminated = std::move(dominance_eliminated);
       }
       result.estimator_samples_bytes = state.samples_bytes();
+      // Every configuration's estimate, eliminated ones included (from
+      // the sample they were frozen with).
       result.estimates = state.Estimates();
-      if constexpr (!State::kShared) {
-        for (ConfigId c = 0; c < k; ++c) {
-          if (!active[c]) result.estimates[c] = 0.0;
-        }
-      }
       for (uint32_t st = 0; st < state.num_streams(); ++st) {
         result.final_strata.push_back(
             static_cast<uint32_t>(state.strat(st).num_strata()));

@@ -110,7 +110,9 @@ struct SelectionResult {
   uint64_t queries_sampled = 0;
   /// Optimizer calls spent (the scarce resource).
   uint64_t optimizer_calls = 0;
-  /// Final cost estimates per configuration (scaled to workload totals).
+  /// Final cost estimates per configuration (scaled to workload totals);
+  /// an eliminated configuration's comes from the sample it held when it
+  /// was eliminated.
   std::vector<double> estimates;
   /// Number of strata per configuration at termination (size 1 vector for
   /// Delta Sampling's shared stratification).

@@ -262,6 +262,26 @@ TEST(SelectorTest, EstimatesApproximateTrueTotals) {
     double truth = src.TotalCost(c);
     EXPECT_NEAR(r.estimates[c], truth, 0.25 * truth) << "config " << c;
   }
+
+  // With elimination on, an eliminated configuration still reports the
+  // estimate from the sample it was frozen with, under either scheme.
+  MatrixCostSource wide = SyntheticMatrix(4000, 6, 8, 0.06, 48);
+  for (SamplingScheme scheme :
+       {SamplingScheme::kDelta, SamplingScheme::kIndependent}) {
+    SelectorOptions eopt;
+    eopt.alpha = 0.95;
+    eopt.consecutive_to_stop = 10;
+    eopt.scheme = scheme;
+    Rng erng(49);
+    SelectionResult e = ConfigurationSelector(&wide, eopt).Run(&erng);
+    EXPECT_LT(e.active_configs, 6u) << "no configuration was eliminated";
+    for (ConfigId c = 0; c < 6; ++c) {
+      const double truth = wide.TotalCost(c);
+      EXPECT_NEAR(e.estimates[c], truth, 0.25 * truth)
+          << "scheme " << static_cast<int>(scheme) << " config " << c
+          << " eliminated at round " << e.eliminated_at[c];
+    }
+  }
 }
 
 class SelectorSchemeSweep
