@@ -160,9 +160,6 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
         }
       }
     }
-    // Delta's reference ranges over every configuration, dominated ones
-    // included; dynamic reallocation prices with zero pair weights.
-    const std::vector<bool> everyone(k, true);
     const std::vector<double> no_confidence(k, 0.0);
     std::vector<double> diffs(k, 0.0);
     std::vector<double> vars(k, 0.0);
@@ -172,8 +169,7 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
         if (state.Exhausted()) break;
       }
       ++iteration;
-      const ConfigId best =
-          state.Incumbent(State::kShared ? everyone : state.active());
+      const ConfigId best = state.Incumbent();
       // Dynamic budget reallocation: fixed-budget mode has no Pr(CS)
       // machinery, so the VOI gain is priced with the conservative
       // zero-confidence pair weights; a dominated configuration stops

@@ -90,14 +90,14 @@ void DeltaSampling::Pilot(uint32_t n_min) {
   }
 }
 
-ConfigId DeltaSampling::Incumbent(const std::vector<bool>& eligible) {
+ConfigId DeltaSampling::Incumbent() {
   // One batched sweep computes every configuration's estimate
   // (bit-identical to the scalar Estimate calls).
   est_.Estimates(strata_[0], estimates_);
   ConfigId best = 0;
   double best_est = std::numeric_limits<double>::infinity();
   for (ConfigId c = 0; c < estimates_.size(); ++c) {
-    if (eligible[c] && estimates_[c] < best_est) {
+    if (active_[c] && estimates_[c] < best_est) {
       best_est = estimates_[c];
       best = c;
     }
@@ -178,13 +178,13 @@ void IndependentSampling::Pilot(uint32_t n_min) {
   }
 }
 
-ConfigId IndependentSampling::Incumbent(const std::vector<bool>& eligible) {
+ConfigId IndependentSampling::Incumbent() {
   ConfigId best = 0;
   double best_est = std::numeric_limits<double>::infinity();
   for (ConfigId c = 0; c < estimates_.size(); ++c) {
-    estimates_[c] = eligible[c] ? est_.Estimate(c, strata_[c]) : 0.0;
-    variances_[c] = eligible[c] ? est_.Variance(c, strata_[c]) : 0.0;
-    if (eligible[c] && estimates_[c] < best_est) {
+    estimates_[c] = active_[c] ? est_.Estimate(c, strata_[c]) : 0.0;
+    variances_[c] = active_[c] ? est_.Variance(c, strata_[c]) : 0.0;
+    if (active_[c] && estimates_[c] < best_est) {
       best_est = estimates_[c];
       best = c;
     }

@@ -152,9 +152,10 @@ class DeltaSampling : public SamplingStreams<false> {
   /// Algorithm 1's pilot: n_min uniform draws.
   void Pilot(uint32_t n_min);
 
-  /// The lowest-estimate configuration among `eligible`, which becomes
-  /// the reference of the pairwise differences.
-  ConfigId Incumbent(const std::vector<bool>& eligible);
+  /// The lowest-estimate active configuration, which becomes the
+  /// reference of the pairwise differences (a dominated configuration is
+  /// no longer priced, so it cannot be one).
+  ConfigId Incumbent();
   /// Per active j != best: the gap -X_{best,j} and its standard error;
   /// 0 elsewhere.
   void PairGaps(ConfigId best, std::vector<double>* gaps,
@@ -213,9 +214,9 @@ class IndependentSampling : public SamplingStreams<true> {
   /// randomness, so the RNG stream is that of scalar pricing).
   void Pilot(uint32_t n_min);
 
-  /// The lowest-estimate configuration among `eligible`; caches the
-  /// estimates and variances of the eligible ones (0 for the rest).
-  ConfigId Incumbent(const std::vector<bool>& eligible);
+  /// The lowest-estimate active configuration; caches the estimates and
+  /// variances of the active ones (0 for the rest).
+  ConfigId Incumbent();
   void PairGaps(ConfigId best, std::vector<double>* gaps,
                 std::vector<double>* ses);
   /// Coverage gate on configuration `c`'s own sample.

@@ -255,7 +255,7 @@ SelectionResult ConfigurationSelector::RunRounds(Rng* rng) {
     ConfigId best = 0;
     {
       obs::SpanScope estimate_span(span_round, "estimate", "selector");
-      best = state.Incumbent(active);
+      best = state.Incumbent();
     }
 
     // Pairwise Pr(CS) and the Bonferroni bound (eq. 3); eliminated pairs

@@ -128,6 +128,31 @@ TEST(FixedBudgetTest, IndependentBaselineAndDynamicOutputsArePinned) {
   }
 }
 
+TEST(FixedBudgetTest, DeltaDynamicKeepsItsReferenceAmongLiveConfigs) {
+  // A dominated configuration stops being priced, so templates sampled
+  // afterwards carry no mass for it and its partial estimate can undercut
+  // the live ones. The reference of the pairwise differences must stay
+  // among the live configurations: a dominated reference has no cost in
+  // the next sample, and picking one aborted the run.
+  for (uint64_t seed : {3, 4, 5}) {
+    MatrixCostSource src = SyntheticMatrix(400, 4, 8, 0.3, seed);
+    std::vector<std::vector<double>> cols(src.num_configs());
+    for (ConfigId c = 0; c < src.num_configs(); ++c) cols[c] = src.Column(c);
+    StaleCostBoundsProvider bounds(
+        src.num_queries(), src.num_configs(),
+        [&](QueryId q, ConfigId c) { return cols[c][q]; }, 0.02);
+    FixedBudgetOptions opt;
+    opt.budget_policy = BudgetPolicy::kDynamic;
+    opt.bounds = &bounds;
+    opt.n_min = 8;
+    Rng rng(seed);
+    FixedBudgetResult r = FixedBudgetSelect(&src, 200, opt, &rng);
+    EXPECT_GT(r.dominance_eliminations, 0u) << "seed " << seed;
+    EXPECT_EQ(r.queries_sampled, 200u) << "seed " << seed;
+    EXPECT_EQ(r.best, TrueBest(src)) << "seed " << seed;
+  }
+}
+
 TEST(FixedBudgetTest, BudgetRespectedDelta) {
   MatrixCostSource src = SyntheticMatrix(2000, 3, 8, 0.05, 51);
   FixedBudgetOptions opt;
