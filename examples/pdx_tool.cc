@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "catalog/tpcd_schema.h"
-#include "common/metrics_server.h"
 #include "common/obs.h"
 #include "common/run_ledger.h"
 #include "common/span.h"
@@ -297,7 +296,6 @@ int Usage() {
       "                   [--metrics[=SPEC]] [--ledger[=DIR]]\n"
       "  pdx_tool report  --trace=PATH [--profile=OUT.json]\n"
       "  pdx_tool runs    list | diff A B   [--runs-dir=DIR]\n"
-      "  pdx_tool serve-metrics [--port=9464] [--max-requests=0]\n"
       "  pdx_tool serve   [--port=9464] [--max-sessions=0] [--workers=4]\n"
       "                   [--deadline-ms=5000] [--max-catalogs=4]\n"
       "                   [--ledger[=DIR]]\n"
@@ -326,8 +324,7 @@ int Usage() {
       "  final counters, per-phase span rollup) under DIR (default runs/).\n"
       "  'runs list' enumerates recorded manifests; 'runs diff A B' prints\n"
       "  a regression-attribution table between two of them, ranked by\n"
-      "  wall-clock delta. serve-metrics exposes GET /metrics (Prometheus)\n"
-      "  and /healthz on 127.0.0.1.\n"
+      "  wall-clock delta.\n"
       "\n"
       "  serve runs the selection daemon: concurrent sessions over\n"
       "  newline-delimited JSON on 127.0.0.1 (one connection per session,\n"
@@ -1073,30 +1070,6 @@ int RunRuns(int argc, char** argv) {
   return 1;
 }
 
-// pdx_tool serve-metrics: expose the process registry over HTTP. Mostly
-// useful composed with library embedders; standalone it demonstrates the
-// exporter and gives CI a curl target.
-int RunServeMetrics(int argc, char** argv) {
-  uint64_t port, max_requests;
-  if (!U64Flag(argc, argv, "port", 9464, &port) ||
-      !U64Flag(argc, argv, "max-requests", 0, &max_requests)) {
-    return 1;
-  }
-  if (port > 65535) {
-    std::printf("error: --port expects 0..65535\n");
-    return 1;
-  }
-  obs::MetricsServerOptions mopt;
-  mopt.port = static_cast<int>(port);
-  mopt.max_requests = max_requests;
-  Status st = obs::ServeMetrics(mopt);
-  if (!st.ok()) {
-    std::printf("error: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  return 0;
-}
-
 // pdx_tool serve: the selection-as-a-service daemon (DESIGN.md §12).
 // Long-lived loopback server for concurrent selection/tuning sessions
 // over newline-delimited JSON, with the what-if and bounds caches held
@@ -1185,7 +1158,6 @@ int main(int argc, char** argv) {
   if (command == "tune") return RunTune(argc, argv);
   if (command == "report") return RunReport(argc, argv);
   if (command == "runs") return RunRuns(argc, argv);
-  if (command == "serve-metrics") return RunServeMetrics(argc, argv);
   if (command == "serve") return RunServe(argc, argv);
   if (command == "show") return RunShow(argc, argv);
   if (command == "validate") return RunValidate(argc, argv);

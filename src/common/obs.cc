@@ -237,7 +237,7 @@ std::string MetricHelp(const std::string& name) {
            "Structures accepted by the greedy tuner"},
           {"pdx_tuner_round_ns", "Per-round greedy tuner latency"},
           {"pdx_exporter_requests_total",
-           "HTTP requests served by pdx_tool serve-metrics"},
+           "HTTP /metrics and /healthz requests answered by pdx_tool serve"},
       };
   auto it = kHelp->find(name);
   if (it != kHelp->end()) return it->second;
