@@ -13,43 +13,6 @@ namespace pdx {
 
 namespace {
 
-// Builds a BudgetManager when the options ask for dynamic reallocation in
-// an allocation policy that supports it (variance-guided / fine); null
-// otherwise, which keeps the static paths byte-identical.
-std::unique_ptr<BudgetManager> MaybeBudget(const FixedBudgetOptions& options,
-                                           size_t k,
-                                           const std::vector<uint64_t>& pops) {
-  if (options.budget_policy != BudgetPolicy::kDynamic || k < 2) return nullptr;
-  if (options.allocation != AllocationPolicy::kVarianceGuided &&
-      options.allocation != AllocationPolicy::kFinePerTemplate) {
-    return nullptr;
-  }
-  PDX_CHECK_MSG(options.bounds != nullptr,
-                "BudgetPolicy::kDynamic requires FixedBudgetOptions::bounds");
-  const uint64_t N = std::accumulate(pops.begin(), pops.end(), uint64_t{0});
-  // Fixed-budget runs emit no trace events by contract; the budget
-  // counters surface on FixedBudgetResult instead.
-  return std::make_unique<BudgetManager>(k, N, options.bounds,
-                                         options.budget_model, nullptr);
-}
-
-// Lowest estimate among still-active configurations: a dominance-
-// eliminated configuration is proven non-best by its envelope even when
-// its (partial-sample) estimate happens to undercut the winner's.
-ConfigId ArgMin(const std::vector<double>& estimates,
-                const std::vector<bool>& active) {
-  ConfigId best = 0;
-  double best_est = std::numeric_limits<double>::infinity();
-  for (ConfigId c = 0; c < estimates.size(); ++c) {
-    if (!active[c]) continue;
-    if (estimates[c] < best_est) {
-      best_est = estimates[c];
-      best = c;
-    }
-  }
-  return best;
-}
-
 // The fixed-budget split target (budget mode has no alpha): the stream
 // to split and its target variance, or nullopt for no split this round.
 struct SplitTarget {
@@ -106,9 +69,21 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
   const size_t k = source->num_configs();
   const uint64_t calls_before = source->num_calls();
   const std::vector<uint64_t> pops = TemplatePopulationsOf(*source);
-  std::unique_ptr<BudgetManager> budget = MaybeBudget(options, k, pops);
-  State state(source, pops, rng, budget.get(), /*feed_uncertainty=*/false);
   const bool fine = options.allocation == AllocationPolicy::kFinePerTemplate;
+  // Dynamic budget reallocation engages only in the variance-guided and
+  // fine allocations, which keeps the baselines byte-identical. Fixed-
+  // budget runs emit no trace events by contract; the budget counters
+  // surface on FixedBudgetResult instead.
+  std::unique_ptr<BudgetManager> budget;
+  if (options.budget_policy == BudgetPolicy::kDynamic && k > 1 &&
+      (fine || options.allocation == AllocationPolicy::kVarianceGuided)) {
+    PDX_CHECK_MSG(options.bounds != nullptr,
+                  "BudgetPolicy::kDynamic requires FixedBudgetOptions::bounds");
+    budget = std::make_unique<BudgetManager>(
+        k, std::accumulate(pops.begin(), pops.end(), uint64_t{0}),
+        options.bounds, options.budget_model, nullptr);
+  }
+  State state(source, pops, rng, budget.get(), /*feed_uncertainty=*/false);
   if (fine || options.allocation == AllocationPolicy::kEqualPerTemplate) {
     state.SplitPerTemplate();
   }
@@ -208,7 +183,10 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
 
   FixedBudgetResult out;
   out.estimates = state.Estimates();
-  out.best = ArgMin(out.estimates, state.active());
+  // A dominance-eliminated configuration is proven non-best by its
+  // envelope even when its (partial-sample) estimate undercuts the
+  // winner's.
+  out.best = state.LowestActive(out.estimates);
   out.queries_sampled = state.samples();
   out.optimizer_calls = source->num_calls() - calls_before;
   if (budget) {

@@ -94,14 +94,7 @@ ConfigId DeltaSampling::Incumbent() {
   // One batched sweep computes every configuration's estimate
   // (bit-identical to the scalar Estimate calls).
   est_.Estimates(strata_[0], estimates_);
-  ConfigId best = 0;
-  double best_est = std::numeric_limits<double>::infinity();
-  for (ConfigId c = 0; c < estimates_.size(); ++c) {
-    if (active_[c] && estimates_[c] < best_est) {
-      best_est = estimates_[c];
-      best = c;
-    }
-  }
+  const ConfigId best = LowestActive(estimates_);
   est_.SetReference(best);
   return best;
 }
@@ -179,17 +172,11 @@ void IndependentSampling::Pilot(uint32_t n_min) {
 }
 
 ConfigId IndependentSampling::Incumbent() {
-  ConfigId best = 0;
-  double best_est = std::numeric_limits<double>::infinity();
   for (ConfigId c = 0; c < estimates_.size(); ++c) {
     estimates_[c] = active_[c] ? est_.Estimate(c, strata_[c]) : 0.0;
     variances_[c] = active_[c] ? est_.Variance(c, strata_[c]) : 0.0;
-    if (active_[c] && estimates_[c] < best_est) {
-      best_est = estimates_[c];
-      best = c;
-    }
   }
-  return best;
+  return LowestActive(estimates_);
 }
 
 void IndependentSampling::PairGaps(ConfigId best, std::vector<double>* gaps,

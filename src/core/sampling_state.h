@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -55,6 +56,18 @@ class SamplingStreams {
   /// Whether stream `s` is still drawn from: the shared stream always,
   /// a per-configuration stream while its configuration is active.
   bool Live(uint32_t s) const { return !kPerConfig || active_[s]; }
+  /// The active configuration with the lowest of `estimates`.
+  ConfigId LowestActive(const std::vector<double>& estimates) const {
+    ConfigId best = 0;
+    double best_est = std::numeric_limits<double>::infinity();
+    for (ConfigId c = 0; c < estimates.size(); ++c) {
+      if (active_[c] && estimates[c] < best_est) {
+        best_est = estimates[c];
+        best = c;
+      }
+    }
+    return best;
+  }
   /// The stream that samples configuration `c`.
   uint32_t StreamOf(ConfigId c) const { return kPerConfig ? c : 0; }
   /// True when no live stream has an unsampled query left.
