@@ -136,10 +136,15 @@ void IndependentSampling::Evaluate(uint32_t stream, QueryId q, bool span) {
     obs::SpanScope whatif_span(span, "whatif", "selector", WhatIfTracked());
     cost = source_->Cost(q, c);
   }
-  const double u = source_->CostUncertainty(q, c);
-  if (u > 0.0) ++degraded_;
-  est_.Add(c, source_->TemplateOf(q), cost, feed_uncertainty_ ? u : 0.0);
-  if (budget_ != nullptr) budget_->ObserveSample(q, c, cost, u);
+  Record(c, q, cost, source_->CostUncertainty(q, c));
+}
+
+void IndependentSampling::Record(ConfigId c, QueryId q, double cost,
+                                 double uncertainty) {
+  if (uncertainty > 0.0) ++degraded_;
+  est_.Add(c, source_->TemplateOf(q), cost,
+           feed_uncertainty_ ? uncertainty : 0.0);
+  if (budget_ != nullptr) budget_->ObserveSample(q, c, cost, uncertainty);
   ++samples_;
 }
 
@@ -160,13 +165,7 @@ void IndependentSampling::Pilot(uint32_t n_min) {
     source_->CostMany(qbuf, c, costs);
     source_->CostUncertaintyMany(qbuf, c, uncerts);
     for (size_t i = 0; i < qbuf.size(); ++i) {
-      if (ubuf[i] > 0.0) ++degraded_;
-      est_.Add(c, source_->TemplateOf(qbuf[i]), cbuf[i],
-               feed_uncertainty_ ? ubuf[i] : 0.0);
-      if (budget_ != nullptr) {
-        budget_->ObserveSample(qbuf[i], c, cbuf[i], ubuf[i]);
-      }
-      ++samples_;
+      Record(c, qbuf[i], cbuf[i], ubuf[i]);
     }
   }
 }

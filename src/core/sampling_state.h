@@ -258,6 +258,9 @@ class IndependentSampling : public SamplingStreams<true> {
   double variance(ConfigId c) const { return variances_[c]; }
 
  private:
+  /// Records one priced cell: estimator, budget manager and tallies.
+  void Record(ConfigId c, QueryId q, double cost, double uncertainty);
+
   IndependentEstimator est_;
   std::vector<double> estimates_, variances_;
 };
