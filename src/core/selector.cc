@@ -414,7 +414,7 @@ SelectionResult ConfigurationSelector::RunRounds(Rng* rng) {
           obs::TimingEnabled() && obs::SampledSpanRound(stratify_calls++),
           "stratify", "selector", WhatIfTracked());
       const double z = RequiredZ(std::max<size_t>(1, active_pairs));
-      // The SE pair (best, j) must reach for Pr(CS) at the per-pair z.
+      // The SE the pair (best, j) must reach for Pr(CS) at the per-pair z.
       auto se_needed = [&](ConfigId j) {
         const double gap = std::max(gaps[j], kGapFloorSeFraction * ses[j]);
         return (gap + options_.delta) / std::max(z, 1e-9);
