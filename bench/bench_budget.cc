@@ -1,6 +1,6 @@
-// Dynamic budget reallocation (core/budget.h) on the Table-2 TPC-D
-// environment: static vs dynamic real-optimizer-call economics, in the two
-// regimes DESIGN.md §10.3 separates.
+// Dynamic budget (core/budget.h) on the Table-2 TPC-D environment: static
+// vs dynamic real-optimizer-call economics, in the two regimes DESIGN.md
+// §10.3 separates.
 //
 // Setup mirrors bench_table2_tpcd_multi at k = 100 (alpha = 0.9, delta = 0,
 // Delta Sampling + progressive stratification, 10-consecutive guard, 0.995
@@ -9,15 +9,14 @@
 // to the static one.
 //
 // Leg 1, "cold" — derivation-priced §6.1 bounds (MatrixRowBoundsProvider,
-// 2 optimizer calls per first row touch, shared across all trials like a
-// long-lived bounds service). This is the regime where interval dominance
-// is provably USELESS: base/rich intervals are configuration-independent,
-// so a pair separates only once its sampled cost gap exceeds its unsampled
-// interval mass — at Table 2's ~2.7% sampling fraction, never (measured:
-// the full-coverage envelope is 1.27e9 wide vs a 1.03e9 true total span).
-// The deliverable here is the §6.2 projection DETECTING that and halting
-// refinement after the bootstrap chunk: the gate is byte-identity plus a
-// >= 0.97 call ratio (the halt caps overhead at the amortized bootstrap).
+// 2 optimizer calls per first row touch). This is the regime where
+// interval dominance is provably USELESS: base/rich intervals are
+// configuration-independent, so a pair separates only once its sampled
+// cost gap exceeds its unsampled interval mass — at Table 2's ~2.7%
+// sampling fraction, never (measured: the full-coverage envelope is
+// 1.27e9 wide vs a 1.03e9 true total span). Priced bounds are therefore
+// never refined: the gate is byte-identity plus, per trial, zero
+// refinement calls and exactly the static run's optimizer calls.
 //
 // Leg 2, "warm" — a StaleCostBoundsProvider over the previous tuning
 // session's cost cache, trusted within a 2% drift band. Bounds are now
@@ -26,8 +25,8 @@
 // free and interval dominance eliminates every configuration whose true
 // gap exceeds the band right after coverage — only genuine near-ties are
 // left to the statistical race. The gate is byte-identity, dominance
-// actually firing, and the ISSUE-7 economy bar: >= 1.5x fewer real
-// optimizer calls than the static policy.
+// actually firing, and >= 1.5x fewer real optimizer calls than the static
+// policy.
 //
 // Violations abort via PDX_CHECK, so this bench doubles as an acceptance
 // gate; CI additionally gates the snapshotted ratios in BENCH_budget.json
@@ -51,7 +50,6 @@ struct LegTotals {
   uint64_t refinement_calls = 0;
   uint64_t dominated = 0;
   uint64_t refined = 0;
-  uint64_t halts = 0;
   int correct = 0;
   double Ratio() const {
     return static_cast<double>(static_calls) /
@@ -60,20 +58,17 @@ struct LegTotals {
 };
 
 // Runs `trials` static/dynamic pairs from identical seeds; aborts unless
-// every trial's dynamic selection is byte-identical to its static one.
+// every trial's dynamic selection is byte-identical to its static one and,
+// over priced bounds, spends exactly the static run's optimizer calls.
 LegTotals RunLeg(const char* name, MatrixCostSource* src,
                  const SelectorOptions& base_opts, CellBoundsProvider* bounds,
-                 const BudgetCostModel& model, uint64_t trial_base, int trials,
-                 ConfigId truth) {
+                 uint64_t trial_base, int trials, ConfigId truth) {
   LegTotals t;
   const std::vector<int> widths = {7, 12, 12, 10, 10, 9, 8};
   std::printf("[%s]\n", name);
   PrintRow({"trial", "static", "dynamic", "refine", "dominated", "samples",
             "best==*"},
            widths);
-  // Trials run sequentially: the BudgetManager attributes refinement cost
-  // as the shared provider's derivation-call delta, which interleaved
-  // concurrent trials would misattribute.
   for (int i = 0; i < trials; ++i) {
     TrialCountingSource s1(src);
     Rng r1(trial_base + i);
@@ -82,19 +77,21 @@ LegTotals RunLeg(const char* name, MatrixCostSource* src,
     SelectorOptions dyn_opts = base_opts;
     dyn_opts.budget_policy = BudgetPolicy::kDynamic;
     dyn_opts.bounds = bounds;
-    dyn_opts.budget_model = model;
     TrialCountingSource s2(src);
     Rng r2(trial_base + i);
     SelectionResult dyn = ConfigurationSelector(&s2, dyn_opts).Run(&r2);
 
     PDX_CHECK_MSG(dyn.best == stat.best,
                   "dynamic budget changed the selected configuration");
+    PDX_CHECK_MSG(!bounds->priced() || (dyn.bound_refinement_calls == 0 &&
+                                        dyn.optimizer_calls ==
+                                            stat.optimizer_calls),
+                  "dynamic budget spent optimizer calls on priced bounds");
     t.static_calls += stat.optimizer_calls;
     t.dynamic_calls += dyn.optimizer_calls;
     t.refinement_calls += dyn.bound_refinement_calls;
     t.dominated += dyn.dominance_eliminations;
     t.refined += dyn.refined_queries;
-    t.halts += dyn.refine_halts;
     t.correct += dyn.best == truth ? 1 : 0;
     PrintRow({std::to_string(i), std::to_string(stat.optimizer_calls),
               std::to_string(dyn.optimizer_calls),
@@ -106,14 +103,13 @@ LegTotals RunLeg(const char* name, MatrixCostSource* src,
   }
   std::printf(
       "totals: static %llu calls, dynamic %llu calls (%llu on refinement), "
-      "%llu dominance eliminations, %llu queries refined, %llu halts, "
+      "%llu dominance eliminations, %llu queries refined, "
       "ratio %.3fx, true Pr(CS) %.1f%%\n\n",
       static_cast<unsigned long long>(t.static_calls),
       static_cast<unsigned long long>(t.dynamic_calls),
       static_cast<unsigned long long>(t.refinement_calls),
       static_cast<unsigned long long>(t.dominated),
-      static_cast<unsigned long long>(t.refined),
-      static_cast<unsigned long long>(t.halts), t.Ratio(),
+      static_cast<unsigned long long>(t.refined), t.Ratio(),
       100.0 * t.correct / trials);
   return t;
 }
@@ -155,14 +151,12 @@ int main(int argc, char** argv) {
 
   // --- Leg 1: cold, derivation-priced §6.1 row bounds -------------------
   // Shared across trials like a long-lived tuning service would share its
-  // WorkloadBoundsCache: each run is charged only the derivation-call
-  // delta it causes (2 calls per first row touch).
+  // WorkloadBoundsCache.
   MatrixRowBoundsProvider cold_bounds(
       N, src.num_configs(),
       [&](QueryId q, ConfigId c) { return cols[c][q]; });
   LegTotals cold = RunLeg("cold: derivation-priced bounds", &src, base_opts,
-                          &cold_bounds, BudgetCostModel(), trial_base, trials,
-                          truth);
+                          &cold_bounds, trial_base, trials, truth);
 
   // --- Leg 2: warm, last session's cost cache within a drift band -------
   // Stale costs: true * (1 + delta) with |delta| <= eps / 2 from a
@@ -187,9 +181,7 @@ int main(int argc, char** argv) {
     }
   }
   LegTotals warm = RunLeg("warm: stale-cache bounds (2% drift)", &src,
-                          base_opts, &warm_bounds,
-                          BudgetCostModel::ForLocalBounds(), trial_base,
-                          trials, truth);
+                          base_opts, &warm_bounds, trial_base, trials, truth);
 
   const std::string json_path = JsonPathFromArgs(argc, argv);
   if (!json_path.empty()) {
@@ -216,15 +208,13 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
 
-  // Cold regime: dominance cannot pay here; the projection must detect
-  // that (halting refinement in every trial) and keep the overhead inside
-  // the amortized bootstrap.
+  // Cold regime: dominance cannot pay here; priced bounds are never
+  // refined, so each trial costs exactly its static run (checked per
+  // trial in RunLeg).
   PDX_CHECK_MSG(cold.Ratio() >= 0.97,
                 "cold-regime dynamic overhead exceeded the no-harm bar");
-  PDX_CHECK_MSG(cold.halts == static_cast<uint64_t>(trials),
-                "cold-regime projection failed to halt refinement");
-  // Warm regime: the ISSUE-7 economy bar — dominance must fire and cut
-  // real optimizer calls by >= 1.5x at byte-identical selections.
+  // Warm regime: the economy bar — dominance must fire and cut real
+  // optimizer calls by >= 1.5x at byte-identical selections.
   PDX_CHECK_MSG(warm.dominated > 0,
                 "warm-regime interval dominance never fired");
   PDX_CHECK_MSG(warm.Ratio() >= 1.5,

@@ -222,14 +222,10 @@ std::string MetricHelp(const std::string& name) {
           {"pdx_pool_queue_depth", "Current ThreadPool queue depth"},
           {"pdx_pool_threads", "Configured ThreadPool worker count"},
           {"pdx_pool_job_ns", "Per-job ThreadPool latency"},
-          {"pdx_budget_bound_calls_total",
-           "Section-6.1 bound-refinement derivations"},
-          {"pdx_budget_refine_rounds_total", "Rounds choosing refinement"},
+          {"pdx_budget_refine_rounds_total", "Rounds refining free bounds"},
           {"pdx_budget_refined_queries_total", "Queries bound-refined"},
           {"pdx_budget_dominance_eliminations_total",
            "Configurations eliminated by interval dominance"},
-          {"pdx_budget_refine_halts_total",
-           "Runs halting refinement by the separability projection"},
           {"pdx_fault_injected_failures_total", "Injected what-if failures"},
           {"pdx_fault_injected_slow_total", "Injected what-if latency spikes"},
           {"pdx_tuner_rounds_total", "Greedy tuner rounds executed"},

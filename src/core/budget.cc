@@ -7,36 +7,20 @@
 #include "common/obs.h"
 #include "common/span.h"
 #include "core/selection_trace.h"
-#include "core/skew_bound.h"
-#include "core/variance_bound.h"
 
 namespace pdx {
 
 namespace {
 
-// Bootstrap refinement: the first chunk is always taken (capped sunk cost
-// that seeds the information model); later chunks grow geometrically so a
-// full coverage pass needs O(log N) decision rounds.
+// Refinement chunks: 64 queries, then as many as are already refined, so
+// a full coverage pass needs O(log N) rounds.
 constexpr size_t kSeedChunk = 64;
-
-// Per-round expected miss-probability reduction attributed to one more
-// sampling round — a coarse deterministic constant (selection runs
-// typically converge over hundreds of rounds) that prices the sampling
-// alternative in the value-per-millisecond comparison.
-constexpr double kSampleRoundGain = 0.01;
-
-// The §6.2 information model subsamples each refinement chunk to at most
-// this many intervals before running the variance DP / skew vertex search
-// (both are superlinear; the model only needs the width scale).
-constexpr size_t kInfoModelSample = 128;
 
 // Interned metric handles; one registry lookup per process.
 struct BudgetMetricSet {
   obs::Counter* refine_rounds;
   obs::Counter* refined_queries;
-  obs::Counter* bound_calls;
   obs::Counter* dominance_eliminations;
-  obs::Counter* refine_halts;
 };
 
 BudgetMetricSet& BMetrics() {
@@ -45,9 +29,7 @@ BudgetMetricSet& BMetrics() {
     return BudgetMetricSet{
         r.GetCounter("pdx_budget_refine_rounds_total"),
         r.GetCounter("pdx_budget_refined_queries_total"),
-        r.GetCounter("pdx_budget_bound_calls_total"),
-        r.GetCounter("pdx_budget_dominance_eliminations_total"),
-        r.GetCounter("pdx_budget_refine_halts_total")};
+        r.GetCounter("pdx_budget_dominance_eliminations_total")};
   }();
   return m;
 }
@@ -79,41 +61,20 @@ const char* BudgetPolicyName(BudgetPolicy policy) {
   return "unknown";
 }
 
-BudgetCostModel BudgetCostModel::FromRegistry() {
-  BudgetCostModel model;
-  obs::Registry& r = obs::Registry::Global();
-  obs::Histogram* cold = r.GetHistogram(kWhatIfColdNsMetric);
-  if (cold->Count() > 0) {
-    double ms = cold->MeanNs() * 1e-6;
-    if (ms > 0.0) {
-      model.whatif_ms = ms;
-      // Bound derivation hits the same optimizer service as a cold call.
-      model.bound_call_ms = ms;
-    }
-  }
-  return model;
-}
-
 BudgetManager::BudgetManager(size_t num_configs, size_t num_queries,
-                             CellBoundsProvider* bounds,
-                             const BudgetCostModel& model, TraceSink* trace)
+                             CellBoundsProvider* bounds, TraceSink* trace)
     : k_(num_configs),
       num_queries_(num_queries),
       bounds_(bounds),
-      model_(model),
       trace_(trace),
       sampled_(num_configs * num_queries, false),
       refined_(num_queries, false),
       env_lo_(num_configs, 0.0),
       env_hi_(num_configs, 0.0),
-      env_pieces_(num_configs, 0),
-      refined_lo_sum_(num_configs, 0.0),
-      refined_hi_sum_(num_configs, 0.0),
-      refined_in_env_(num_configs, 0) {
+      env_pieces_(num_configs, 0) {
   PDX_CHECK_MSG(bounds != nullptr,
                 "BudgetPolicy::kDynamic requires a CellBoundsProvider");
   PDX_CHECK(num_configs >= 1);
-  derivation_calls_at_start_ = bounds->derivation_calls();
 }
 
 void BudgetManager::ObserveSample(QueryId q, ConfigId c, double cost,
@@ -123,8 +84,8 @@ void BudgetManager::ObserveSample(QueryId q, ConfigId c, double cost,
   if (sampled_[cell]) return;  // pools draw without replacement; defensive
   sampled_[cell] = true;
   if (refined_[q]) {
-    // The sample supersedes the interval contribution. BoundsFor is
-    // memoized by the provider, so the re-read spends no derivation.
+    // The sample supersedes the interval contribution (a free provider's
+    // re-read is a lookup).
     CostInterval iv = bounds_->BoundsFor(q, c);
     env_lo_[c] -= iv.low;
     env_hi_[c] -= iv.high;
@@ -137,58 +98,8 @@ void BudgetManager::ObserveSample(QueryId q, ConfigId c, double cost,
   env_hi_[c] += cost + uncertainty;
 }
 
-void BudgetManager::UpdateInfoModel(const std::vector<CostInterval>& chunk) {
-  if (chunk.empty()) return;
-  // Deterministic stride subsample.
-  std::vector<CostInterval> sample;
-  const size_t stride = std::max<size_t>(1, chunk.size() / kInfoModelSample);
-  for (size_t i = 0; i < chunk.size(); i += stride) sample.push_back(chunk[i]);
-  double width_max = 0.0;
-  for (const CostInterval& iv : sample) width_max = std::max(width_max, iv.width());
-  if (width_max <= 0.0) {
-    // Every refined interval is exact: the projection needs no slack.
-    sigma2_max_ = 0.0;
-    g1_upper_ = 0.0;
-    return;
-  }
-  // §6.2 conservative per-query variance (rho scaled to the chunk's width
-  // so the DP stays at <= 16 steps per interval) and skew upper bound.
-  VarianceBoundResult vb = MaxVarianceBound(sample, width_max / 16.0);
-  sigma2_max_ = vb.upper;
-  g1_upper_ = MaxSkewBound(sample).g1_upper;
-}
-
-bool BudgetManager::ProjectedDominated(ConfigId best, ConfigId j) const {
-  const size_t uncov_j = num_queries_ - env_pieces_[j];
-  const size_t uncov_b = num_queries_ - env_pieces_[best];
-  if (uncov_j == 0 && uncov_b == 0) {
-    // Full coverage: the projection IS the envelope comparison.
-    return env_lo_[j] > env_hi_[best] + DominanceMargin(env_hi_[best]);
-  }
-  if (refined_in_env_[j] == 0 || refined_in_env_[best] == 0) {
-    return false;  // no interval evidence to project from yet
-  }
-  const double mean_lo_j =
-      refined_lo_sum_[j] / static_cast<double>(refined_in_env_[j]);
-  const double mean_hi_b =
-      refined_hi_sum_[best] / static_cast<double>(refined_in_env_[best]);
-  const double proj_lb_j =
-      env_lo_[j] + static_cast<double>(uncov_j) * mean_lo_j;
-  const double proj_ub_b =
-      env_hi_[best] + static_cast<double>(uncov_b) * mean_hi_b;
-  // Optimistic value-of-information: the pair is worth refining while its
-  // projected separation is within the §6.2 slack of dominating — the
-  // slack is the conservative standard deviation of the mean-filled part
-  // (sqrt(m * sigma^2_max)), Cochran-inflated by the skew upper bound.
-  const double m = static_cast<double>(uncov_j + uncov_b);
-  const double slack =
-      std::sqrt(sigma2_max_ * m) * (1.0 + g1_upper_ / std::sqrt(std::max(1.0, m)));
-  return proj_lb_j - proj_ub_b > -slack;
-}
-
 size_t BudgetManager::RefineChunk(size_t quota, const std::vector<bool>& active) {
   size_t done = 0;
-  std::vector<CostInterval> chunk_sample;
   while (done < quota && refine_cursor_ < num_queries_) {
     const QueryId q = refine_cursor_++;
     if (refined_[q]) continue;
@@ -203,9 +114,7 @@ size_t BudgetManager::RefineChunk(size_t quota, const std::vector<bool>& active)
     }
     if (all_sampled) continue;
     refined_[q] = true;
-    ++refined_count_;
     ++done;
-    bool first = true;
     for (ConfigId c = 0; c < k_; ++c) {
       if (!active[c]) continue;
       if (sampled_[static_cast<size_t>(c) * num_queries_ + q]) continue;
@@ -213,80 +122,25 @@ size_t BudgetManager::RefineChunk(size_t quota, const std::vector<bool>& active)
       env_lo_[c] += iv.low;
       env_hi_[c] += iv.high;
       ++env_pieces_[c];
-      refined_lo_sum_[c] += iv.low;
-      refined_hi_sum_[c] += iv.high;
-      ++refined_in_env_[c];
-      if (first) {
-        chunk_sample.push_back(iv);
-        first = false;
-      }
     }
   }
   stats_.refined_queries += done;
   BMetrics().refined_queries->Add(done);
-  if (!chunk_sample.empty()) UpdateInfoModel(chunk_sample);
   return done;
 }
 
 std::vector<ConfigId> BudgetManager::DecideRound(
-    uint64_t round, ConfigId best, const std::vector<bool>& active,
-    const std::vector<double>& pair_prcs, double bonferroni) {
+    uint64_t round, ConfigId best, const std::vector<bool>& active) {
   obs::SpanScope decide_span("decide_round", "budget");
-  PDX_CHECK(best < k_ && active.size() == k_ && pair_prcs.size() == k_);
-  size_t k_active = 0;
-  for (ConfigId c = 0; c < k_; ++c) k_active += active[c] ? 1 : 0;
+  PDX_CHECK(best < k_ && active.size() == k_);
 
-  // --- Action choice: refine vs sample, by expected Pr(CS) gain / ms ----
-  const char* action = "sample";
+  // --- Refinement: free providers only, geometric chunks ----------------
   size_t refined_now = 0;
-  double value_refine = 0.0;
-  double value_sample = 0.0;
-  const bool coverage_done = refine_cursor_ >= num_queries_;
-  if (!refine_halted_ && !coverage_done && k_active > 1) {
-    if (refined_count_ < kSeedChunk) {
-      // Bootstrap: a capped seed chunk that feeds the information model.
-      refined_now = RefineChunk(kSeedChunk - refined_count_, active);
-      action = "refine";
-    } else {
-      // Projection: which pairs could interval evidence still separate?
-      double projected_gain = 0.0;
-      size_t projected_pairs = 0;
-      for (ConfigId j = 0; j < k_; ++j) {
-        if (j == best || !active[j]) continue;
-        if (ProjectedDominated(best, j)) {
-          projected_gain += 1.0 - std::min(1.0, pair_prcs[j]);
-          ++projected_pairs;
-        }
-      }
-      if (projected_pairs == 0) {
-        // No pair is projected to dominate even optimistically: further
-        // refinement is pure waste — halt it for the rest of the run.
-        refine_halted_ = true;
-        ++stats_.refine_halted;
-        BMetrics().refine_halts->Add();
-        action = "halt_refine";
-      } else {
-        const size_t remaining = num_queries_ - refined_count_;
-        const double refine_cost_ms =
-            2.0 * static_cast<double>(remaining) * model_.bound_call_ms +
-            model_.dominance_check_ms * static_cast<double>(k_active);
-        value_refine = projected_gain / std::max(1e-12, refine_cost_ms);
-        value_sample =
-            kSampleRoundGain * (1.0 - std::min(1.0, bonferroni)) /
-            std::max(1e-12,
-                     static_cast<double>(k_active) * model_.whatif_ms);
-        if (value_refine > value_sample) {
-          // Geometric chunks: O(log N) decision rounds to full coverage.
-          refined_now = RefineChunk(std::max(kSeedChunk, refined_count_),
-                                    active);
-          action = "refine";
-        }
-      }
-    }
-    if (refined_now > 0) {
-      ++stats_.refine_rounds;
-      BMetrics().refine_rounds->Add();
-    }
+  if (!bounds_->priced() && refine_cursor_ < num_queries_ &&
+      std::count(active.begin(), active.end(), true) > 1) {
+    refined_now = RefineChunk(
+        std::max<uint64_t>(kSeedChunk, stats_.refined_queries), active);
+    if (refined_now > 0) BMetrics().refine_rounds->Add();
   }
 
   // --- Interval dominance over covered envelopes ------------------------
@@ -307,24 +161,12 @@ std::vector<ConfigId> BudgetManager::DecideRound(
   stats_.dominance_eliminations += dominated.size();
   if (!dominated.empty()) BMetrics().dominance_eliminations->Add(dominated.size());
 
-  // Refinement accounting: the provider's derivation meter measures real
-  // optimizer calls; a shared warm cache charges this run only for pieces
-  // it derived first.
-  const uint64_t calls_now = bounds_->derivation_calls();
-  const uint64_t new_calls = calls_now - derivation_calls_at_start_ -
-                             stats_.bound_refinement_calls;
-  stats_.bound_refinement_calls += new_calls;
-  if (new_calls > 0) BMetrics().bound_calls->Add(new_calls);
-
   if (trace_ != nullptr) {
     TraceBudgetDecision ev;
     ev.round = round;
-    ev.action = action;
+    ev.action = refined_now > 0 ? "refine" : "sample";
     ev.refined_queries = refined_now;
-    ev.bound_calls = stats_.bound_refinement_calls;
     ev.dominated = dominated.size();
-    ev.value_refine = value_refine;
-    ev.value_sample = value_sample;
     trace_->BudgetDecision(ev);
   }
   return dominated;

@@ -199,16 +199,16 @@ class CellBoundsProvider {
  public:
   virtual ~CellBoundsProvider() = default;
   virtual CostInterval BoundsFor(QueryId q, ConfigId c) = 0;
-  /// Real optimizer calls this provider has spent deriving bounds so far.
-  /// The budget manager charges refinements against this meter; providers
-  /// with free bounds (e.g. a precomputed matrix) keep the default 0.
-  virtual uint64_t derivation_calls() const { return 0; }
+  /// True when BoundsFor may call the optimizer. The budget manager
+  /// refines only free providers (memory lookups such as a stale cost
+  /// cache, which keep the default false) and never a priced one.
+  virtual bool priced() const { return false; }
 };
 
 /// CellBoundsProvider over CostBoundsDeriver, kept as a shared service:
-/// dominance checks and bound refinements hammer BoundsFor on the hot
-/// path, so the fill is per-*piece* and sharded rather than the old
-/// whole-workload-per-config derivation behind one mutex:
+/// concurrent sessions call BoundsFor on the hot path, so the fill is
+/// per-*piece* and sharded rather than the old whole-workload-per-config
+/// derivation behind one mutex:
 ///
 ///   * the SELECT interval of a workload query is configuration-
 ///     independent (§6.1) — derived once (2 optimizer calls) and shared
@@ -231,7 +231,10 @@ class WorkloadBoundsCache : public CellBoundsProvider {
                       std::vector<QueryId> query_ids = {});
 
   CostInterval BoundsFor(QueryId q, ConfigId c) override;
-  uint64_t derivation_calls() const override {
+  bool priced() const override { return true; }
+  /// Optimizer calls spent on derivations so far, by every user of this
+  /// (possibly shared) cache.
+  uint64_t derivation_calls() const {
     return derivation_calls_.load(std::memory_order_relaxed);
   }
 

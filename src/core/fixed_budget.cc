@@ -81,7 +81,7 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
                   "BudgetPolicy::kDynamic requires FixedBudgetOptions::bounds");
     budget = std::make_unique<BudgetManager>(
         k, std::accumulate(pops.begin(), pops.end(), uint64_t{0}),
-        options.bounds, options.budget_model, nullptr);
+        options.bounds, nullptr);
   }
   State state(source, pops, rng, budget.get(), /*feed_uncertainty=*/false);
   if (fine || options.allocation == AllocationPolicy::kEqualPerTemplate) {
@@ -135,7 +135,6 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
         }
       }
     }
-    const std::vector<double> no_confidence(k, 0.0);
     std::vector<double> diffs(k, 0.0);
     std::vector<double> vars(k, 0.0);
     uint64_t iteration = 0;
@@ -145,13 +144,11 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
       }
       ++iteration;
       const ConfigId best = state.Incumbent();
-      // Dynamic budget reallocation: fixed-budget mode has no Pr(CS)
-      // machinery, so the VOI gain is priced with the conservative
-      // zero-confidence pair weights; a dominated configuration stops
-      // being priced and its budget share flows to the live pairs.
+      // Dynamic budget: a dominated configuration stops being priced and
+      // its budget share flows to the live pairs.
       if (budget) {
-        for (ConfigId j : budget->DecideRound(iteration, best, state.active(),
-                                              no_confidence, 0.0)) {
+        for (ConfigId j :
+             budget->DecideRound(iteration, best, state.active())) {
           state.Deactivate(j);
         }
       }
@@ -191,8 +188,6 @@ FixedBudgetResult RunFixed(CostSource* source, uint64_t query_budget,
   out.optimizer_calls = source->num_calls() - calls_before;
   if (budget) {
     const BudgetStats& bs = budget->stats();
-    out.optimizer_calls += bs.bound_refinement_calls;
-    out.bound_refinement_calls = bs.bound_refinement_calls;
     out.dominance_eliminations = bs.dominance_eliminations;
     out.refined_queries = bs.refined_queries;
   }

@@ -51,13 +51,12 @@ struct FixedBudgetOptions {
   /// Sink for whatif_error events of the execution layer (not owned; may
   /// be null). Fixed-budget runs emit no other trace events.
   TraceSink* trace = nullptr;
-  /// Dynamic budget reallocation (core/budget.h). Engages only in the
-  /// variance-guided and fine-stratification allocations (the uniform /
-  /// equal-allocation baselines stay pure): dominated configurations stop
-  /// being priced and their share of the remaining query budget is
-  /// reinvested in the live pairs. Requires `bounds` when kDynamic.
+  /// Dynamic budget (core/budget.h). Engages only in the variance-guided
+  /// and fine-stratification allocations (the uniform / equal-allocation
+  /// baselines stay pure): dominated configurations stop being priced and
+  /// their share of the remaining query budget is reinvested in the live
+  /// pairs. Requires `bounds` when kDynamic.
   BudgetPolicy budget_policy = BudgetPolicy::kStatic;
-  BudgetCostModel budget_model;
 };
 
 /// Outcome of a fixed-budget comparison.
@@ -73,9 +72,7 @@ struct FixedBudgetResult {
   uint64_t whatif_retries = 0;
   uint64_t whatif_timeouts = 0;
   uint64_t whatif_failures = 0;
-  /// Budget-reallocation economics (all 0 under kStatic); refinement
-  /// calls are already folded into optimizer_calls.
-  uint64_t bound_refinement_calls = 0;
+  /// Dynamic-budget counters (all 0 under kStatic).
   uint64_t dominance_eliminations = 0;
   uint64_t refined_queries = 0;
 };

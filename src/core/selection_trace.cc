@@ -169,13 +169,10 @@ void JsonlTraceSink::WhatIfError(const TraceWhatIfError& e) {
 void JsonlTraceSink::BudgetDecision(const TraceBudgetDecision& e) {
   WriteLine(StringFormat(
       "{\"ev\":\"budget_decision\",\"round\":%llu,\"action\":\"%s\","
-      "\"refined\":%llu,\"bound_calls\":%llu,\"dominated\":%llu,"
-      "\"value_refine\":%s,\"value_sample\":%s}",
+      "\"refined\":%llu,\"bound_calls\":0,\"dominated\":%llu}",
       static_cast<unsigned long long>(e.round), JsonEscape(e.action).c_str(),
       static_cast<unsigned long long>(e.refined_queries),
-      static_cast<unsigned long long>(e.bound_calls),
-      static_cast<unsigned long long>(e.dominated),
-      JsonDouble(e.value_refine).c_str(), JsonDouble(e.value_sample).c_str()));
+      static_cast<unsigned long long>(e.dominated)));
 }
 
 void JsonlTraceSink::Span(const TraceSpan& e) {
@@ -402,7 +399,6 @@ Result<TraceReport> ReadTraceReport(const std::string& path) {
       std::string action;
       GetString(line, "\"action\":", &action);
       if (action == "refine") ++report.budget_refine_rounds;
-      if (action == "halt_refine") ++report.budget_halts;
       uint64_t v = 0;
       if (GetUint(line, "\"refined\":", &v)) report.budget_refined_queries += v;
       if (GetUint(line, "\"dominated\":", &v)) report.budget_dominated += v;

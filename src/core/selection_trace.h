@@ -140,21 +140,16 @@ struct TraceWhatIfError {
   double bound_high = 0.0;
 };
 
-/// One BudgetManager round decision (ISSUE 7). `action` is "refine" (a
-/// bound-refinement chunk was taken), "sample" (the what-if draw won the
-/// value-per-ms comparison), or "halt_refine" (the §6.2 projection says no
-/// pair can still be dominated; refinement stops for the run).
-/// `bound_calls` is cumulative for the run; `refined_queries` and
-/// `dominated` are this round's counts; `value_*` are the compared
-/// expected-Pr(CS)-gain-per-millisecond scores (0 when not computed).
+/// One BudgetManager round. `action` is "refine" (a chunk of free bounds
+/// was refined) or "sample" (nothing left to refine, or the provider is
+/// priced); `refined_queries` and `dominated` are this round's counts.
+/// The event's "bound_calls" field is written as 0: refinement reads only
+/// free providers (traces from older builds may carry other values).
 struct TraceBudgetDecision {
   uint64_t round = 0;
   std::string action;
   uint64_t refined_queries = 0;
-  uint64_t bound_calls = 0;
   uint64_t dominated = 0;
-  double value_refine = 0.0;
-  double value_sample = 0.0;
 };
 
 /// One closed self-profiling span (ISSUE 8), drained from the per-thread
@@ -277,14 +272,13 @@ struct TraceReport {
   uint64_t whatif_failures = 0;
   uint64_t whatif_timeouts = 0;
   uint64_t whatif_degraded = 0;
-  /// budget_decision aggregates (ISSUE 7). Counts are over all events;
+  /// budget_decision aggregates. Counts are over all events;
   /// budget_bound_calls is the last event's cumulative value.
   uint64_t budget_decisions = 0;
   uint64_t budget_refine_rounds = 0;
   uint64_t budget_refined_queries = 0;
   uint64_t budget_bound_calls = 0;
   uint64_t budget_dominated = 0;
-  uint64_t budget_halts = 0;
   /// span event rollup (ISSUE 8): aggregated by (category, name), ordered
   /// by total_ns descending — independent of the event order in the file,
   /// so traces with spans interleaved across threads roll up identically.

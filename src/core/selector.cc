@@ -157,8 +157,7 @@ SelectionResult ConfigurationSelector::RunRounds(Rng* rng) {
   if (options_.budget_policy == BudgetPolicy::kDynamic && k > 1) {
     PDX_CHECK_MSG(options_.bounds != nullptr,
                   "BudgetPolicy::kDynamic requires SelectorOptions::bounds");
-    budget = std::make_unique<BudgetManager>(k, N, options_.bounds,
-                                             options_.budget_model, sink);
+    budget = std::make_unique<BudgetManager>(k, N, options_.bounds, sink);
     dominance_eliminated.assign(k, false);
   }
   State state(source_, pops, rng, budget.get(), /*feed_uncertainty=*/true);
@@ -222,7 +221,6 @@ SelectionResult ConfigurationSelector::RunRounds(Rng* rng) {
   std::vector<double> ses(k, 0.0);
   std::vector<double> pairwise;
   pairwise.reserve(k - 1);
-  std::vector<double> pair_prcs(k, 1.0);
 
   // Per-round phase spans are decimated (SampledSpanRound); run-level
   // spans above are not.
@@ -341,13 +339,8 @@ SelectionResult ConfigurationSelector::RunRounds(Rng* rng) {
       result.optimizer_calls = source_->num_calls() - calls_before;
       if (budget) {
         const BudgetStats& bs = budget->stats();
-        // Refinement spends real optimizer calls outside the cost source's
-        // meter; fold them in so optimizer_calls stays the total price.
-        result.optimizer_calls += bs.bound_refinement_calls;
-        result.bound_refinement_calls = bs.bound_refinement_calls;
         result.dominance_eliminations = bs.dominance_eliminations;
         result.refined_queries = bs.refined_queries;
-        result.refine_halts = bs.refine_halted;
         result.dominance_eliminated = std::move(dominance_eliminated);
       }
       result.estimator_samples_bytes = state.samples_bytes();
@@ -385,19 +378,13 @@ SelectionResult ConfigurationSelector::RunRounds(Rng* rng) {
       }
     }
 
-    // Dynamic budget reallocation (DESIGN.md §10): the manager may spend
-    // §6.1 bound refinements and returns the configurations proven
-    // non-best by interval dominance — frozen at Pr(CS) = 1, which only
-    // tightens the Bonferroni bound (the envelope contains the true cost,
-    // so a dominated configuration is certainly not the true argmin).
+    // Dynamic budget (DESIGN.md §10): the manager refines free bounds and
+    // returns the configurations proven non-best by interval dominance —
+    // frozen at Pr(CS) = 1, which only tightens the Bonferroni bound (the
+    // envelope contains the true cost, so a dominated configuration is
+    // certainly not the true argmin).
     if (budget) {
-      std::fill(pair_prcs.begin(), pair_prcs.end(), 1.0);
-      size_t p_idx = 0;
-      for (ConfigId j = 0; j < k; ++j) {
-        if (j != best) pair_prcs[j] = pairwise[p_idx++];
-      }
-      for (ConfigId j :
-           budget->DecideRound(iteration, best, active, pair_prcs, pr)) {
+      for (ConfigId j : budget->DecideRound(iteration, best, active)) {
         dominance_eliminated[j] = true;
         eliminate(j, 1.0, "interval_dominance");
       }

@@ -87,14 +87,12 @@ struct SelectorOptions {
   /// exec.degrade_to_bounds to engage — without it, exhausted cells
   /// rethrow their last WhatIfCallError).
   CellBoundsProvider* bounds = nullptr;
-  /// Dynamic budget reallocation (core/budget.h; DESIGN.md §10). With
-  /// kDynamic the run owns a BudgetManager that may spend §6.1 bound
-  /// refinements through `bounds` (required non-null) and eliminate
-  /// configurations by interval dominance. kStatic (default) instantiates
-  /// nothing: the run is byte-identical to pre-budget behavior.
+  /// Dynamic budget (core/budget.h; DESIGN.md §10). With kDynamic the
+  /// run owns a BudgetManager that refines `bounds` (required non-null)
+  /// when they are free and eliminates configurations by interval
+  /// dominance. kStatic (default) instantiates nothing: the run is
+  /// byte-identical to pre-budget behavior.
   BudgetPolicy budget_policy = BudgetPolicy::kStatic;
-  /// Millisecond cost model the dynamic policy schedules against.
-  BudgetCostModel budget_model;
 };
 
 /// Outcome of a selection run.
@@ -135,19 +133,15 @@ struct SelectionResult {
   uint64_t whatif_retries = 0;
   uint64_t whatif_timeouts = 0;
   uint64_t whatif_failures = 0;
-  /// Budget-reallocation economics (ISSUE 7; all 0 under kStatic). Real
-  /// optimizer calls spent on §6.1 bound refinements — already included
-  /// in optimizer_calls.
+  /// Optimizer calls spent on §6 bound refinements. Always 0: the budget
+  /// manager refines only free providers, so optimizer_calls is the whole
+  /// price of the run.
   uint64_t bound_refinement_calls = 0;
-  /// Configurations this run eliminated by interval dominance.
+  /// Configurations this run eliminated by interval dominance (0 under
+  /// kStatic).
   uint64_t dominance_eliminations = 0;
-  /// Queries whose §6.1 interval the run refined.
+  /// Queries whose §6 interval the run refined.
   uint64_t refined_queries = 0;
-  /// Rounds where the §6.2 projection concluded refinement can no longer
-  /// produce a dominance and halted it for the rest of the run (0 or 1;
-  /// counted so benches can assert the projection engages on workloads
-  /// whose bounds are too wide to ever dominate).
-  uint64_t refine_halts = 0;
   /// Per-configuration flag: eliminated by interval dominance (as opposed
   /// to the statistical race). Empty under kStatic; consumed by the
   /// dominance_elimination_sound validation property.

@@ -205,8 +205,8 @@ TuneResult GreedyTune(const WhatIfOptimizer& optimizer,
             });
   if (pool.size() > options.beam_width) pool.resize(options.beam_width);
 
-  // §6.1 interval source for fault degradation AND for dynamic budget
-  // refinement: one deriver per tune. base must be contained in every
+  // §6.1 interval source for fault degradation and the dynamic budget:
+  // one deriver per tune. base must be contained in every
   // compared configuration and rich must contain every structure any of
   // them may use; the greedy rounds only ever add pool structures on top
   // of base, so base/base+pool brackets all of them.
@@ -302,7 +302,7 @@ TuneResult GreedyTune(const WhatIfOptimizer& optimizer,
         sel_opts.exec.seed ^= spec.seed;
       }
       if (bounds_deriver != nullptr) {
-        // Shared by fault degradation and budget refinement; the lazy
+        // Shared by fault degradation and the dynamic budget; the lazy
         // sharded cache fills each piece at most once per round.
         bounds_cache = std::make_unique<WorkloadBoundsCache>(
             bounds_deriver.get(), &round_configs, query_ids);
@@ -314,7 +314,6 @@ TuneResult GreedyTune(const WhatIfOptimizer& optimizer,
       result.whatif_timeouts += sel.whatif_timeouts;
       result.whatif_failures += sel.whatif_failures;
       result.degraded_cells += sel.degraded_cells;
-      result.bound_refinement_calls += sel.bound_refinement_calls;
       result.dominance_eliminations += sel.dominance_eliminations;
       result.refined_queries += sel.refined_queries;
       if (sel.best == 0) break;  // keeping the current configuration wins

@@ -69,11 +69,8 @@ struct TuneResult {
   uint64_t whatif_timeouts = 0;
   uint64_t whatif_failures = 0;
   uint64_t degraded_cells = 0;
-  /// Budget-reallocation totals summed over the per-round selections
-  /// (all 0 unless options.selector.budget_policy is kDynamic). The
-  /// refinement calls are already part of optimizer_calls: the bounds
-  /// deriver prices them through the same optimizer meter.
-  uint64_t bound_refinement_calls = 0;
+  /// Dynamic-budget totals summed over the per-round selections (all 0
+  /// unless options.selector.budget_policy is kDynamic).
   uint64_t dominance_eliminations = 0;
   uint64_t refined_queries = 0;
 

@@ -1,5 +1,5 @@
-// Dynamic budget reallocation (core/budget.h): envelope bookkeeping,
-// interval-dominance elimination, refinement accounting, the validated
+// Dynamic budget (core/budget.h): envelope bookkeeping, interval-dominance
+// elimination, the free-vs-priced refinement rule, the validated
 // CostInterval constructor, and the WorkloadBoundsCache exactly-once fill
 // protocol under concurrency. Run under -DPDX_SANITIZE=thread in CI.
 #include "core/budget.h"
@@ -8,11 +8,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/cost_source.h"
+#include "core/selection_trace.h"
 #include "core/selector.h"
 #include "optimizer/candidate_gen.h"
 #include "optimizer/cost_bounds.h"
@@ -24,6 +26,8 @@ namespace {
 
 using testing::SmallCrmSchema;
 using testing::SmallCrmTrace;
+using testing::SmallTpcdSchema;
+using testing::SmallTpcdWorkload;
 using testing::SyntheticMatrix;
 
 // --- CostInterval validating constructor (degenerate inputs) --------------
@@ -133,8 +137,8 @@ TEST(StaleCostBoundsTest, BandContainsDriftedTruthAndReadsAreFree) {
       EXPECT_NEAR(iv.width(), 2.0 * eps * stale[c][q], 1e-9);
     }
   }
-  // A memory lookup, not an optimizer call: reads never charge.
-  EXPECT_EQ(provider.derivation_calls(), 0u);
+  // A memory lookup, not an optimizer call: the provider is free.
+  EXPECT_FALSE(provider.priced());
 }
 
 TEST(StaleCostBoundsTest, ZeroEpsDegeneratesToExactPoints) {
@@ -167,13 +171,42 @@ TEST(StaleCostBoundsDeathTest, RejectsOutOfRangeDriftAndBadCells) {
 
 // --- BudgetManager envelope bookkeeping -------------------------------------
 
-BudgetCostModel TestModel() { return BudgetCostModel{}; }
+// Per-row [min, max] over the compared configurations, counting BoundsFor
+// calls. Free by default; `priced` makes it stand in for an optimizer-
+// backed provider, whose shared derivation meter other sessions may bump.
+class RowBounds : public CellBoundsProvider {
+ public:
+  RowBounds(size_t k, std::function<double(QueryId, ConfigId)> cost,
+            bool priced = false)
+      : k_(k), cost_(std::move(cost)), priced_(priced) {}
+
+  CostInterval BoundsFor(QueryId q, ConfigId /*c*/) override {
+    ++bounds_calls;
+    double lo = cost_(q, 0);
+    double hi = lo;
+    for (ConfigId c = 1; c < k_; ++c) {
+      lo = std::min(lo, cost_(q, c));
+      hi = std::max(hi, cost_(q, c));
+    }
+    return CostInterval(lo, hi);
+  }
+  bool priced() const override { return priced_; }
+
+  uint64_t bounds_calls = 0;
+  /// The shared derivation meter of a priced provider.
+  uint64_t meter = 0;
+
+ private:
+  size_t k_;
+  std::function<double(QueryId, ConfigId)> cost_;
+  bool priced_;
+};
 
 TEST(BudgetManagerTest, ExactSamplesBuildZeroWidthEnvelope) {
   const size_t nq = 8, k = 2;
   auto cost = [](QueryId q, ConfigId c) { return 1.0 + q + 100.0 * c; };
   MatrixRowBoundsProvider provider(nq, k, cost);
-  BudgetManager mgr(k, nq, &provider, TestModel(), nullptr);
+  BudgetManager mgr(k, nq, &provider, nullptr);
 
   double total0 = 0.0;
   for (QueryId q = 0; q < nq; ++q) {
@@ -200,7 +233,7 @@ TEST(BudgetManagerTest, DominanceFiresOnceEnvelopesSeparate) {
     return (q + 1.0) * (c == 0 ? 1.0 : 50.0);
   };
   MatrixRowBoundsProvider provider(nq, k, cost);
-  BudgetManager mgr(k, nq, &provider, TestModel(), nullptr);
+  BudgetManager mgr(k, nq, &provider, nullptr);
   for (QueryId q = 0; q < nq; ++q) {
     mgr.ObserveSample(q, 0, cost(q, 0), 0.0);
     mgr.ObserveSample(q, 1, cost(q, 1), 0.0);
@@ -209,8 +242,7 @@ TEST(BudgetManagerTest, DominanceFiresOnceEnvelopesSeparate) {
   ASSERT_TRUE(mgr.Covered(1));
 
   std::vector<bool> active(k, true);
-  std::vector<double> pair_prcs(k, 0.0);
-  std::vector<ConfigId> dominated = mgr.DecideRound(1, 0, active, pair_prcs, 0.0);
+  std::vector<ConfigId> dominated = mgr.DecideRound(1, 0, active);
   ASSERT_EQ(dominated.size(), 1u);
   EXPECT_EQ(dominated[0], 1u);
   EXPECT_EQ(mgr.stats().dominance_eliminations, 1u);
@@ -225,48 +257,53 @@ TEST(BudgetManagerTest, IncumbentIsNeverDominanceEliminated) {
     return (q + 1.0) * (c == 0 ? 1.0 : 50.0);
   };
   MatrixRowBoundsProvider provider(nq, k, cost);
-  BudgetManager mgr(k, nq, &provider, TestModel(), nullptr);
+  BudgetManager mgr(k, nq, &provider, nullptr);
   for (QueryId q = 0; q < nq; ++q) {
     mgr.ObserveSample(q, 0, cost(q, 0), 0.0);
     mgr.ObserveSample(q, 1, cost(q, 1), 0.0);
   }
   std::vector<bool> active(k, true);
-  std::vector<double> pair_prcs(k, 0.0);
-  EXPECT_TRUE(mgr.DecideRound(1, 1, active, pair_prcs, 0.0).empty());
+  EXPECT_TRUE(mgr.DecideRound(1, 1, active).empty());
   EXPECT_EQ(mgr.stats().dominance_eliminations, 0u);
 }
 
 TEST(BudgetManagerTest, BootstrapRefinementCoversAndCharges) {
-  // 40 queries < the 64-query bootstrap chunk: the first DecideRound
-  // refines the whole workload. Row bounds are shared across configs, so
-  // both envelopes become finite but identical — no dominance.
+  // 40 queries < the 64-query first chunk: the first DecideRound over a
+  // free provider refines the whole workload. Row bounds are shared
+  // across configs, so both envelopes become finite but identical — no
+  // dominance.
   const size_t nq = 40, k = 2;
   auto cost = [](QueryId q, ConfigId c) { return 2.0 + q + 0.5 * c; };
-  MatrixRowBoundsProvider provider(nq, k, cost);
-  BudgetManager mgr(k, nq, &provider, TestModel(), nullptr);
+  RowBounds provider(k, cost);
+  BudgetManager mgr(k, nq, &provider, nullptr);
 
   std::vector<bool> active(k, true);
-  std::vector<double> pair_prcs(k, 0.0);
-  std::vector<ConfigId> dominated = mgr.DecideRound(0, 0, active, pair_prcs, 0.0);
+  std::vector<ConfigId> dominated = mgr.DecideRound(0, 0, active);
   EXPECT_TRUE(dominated.empty());
   EXPECT_TRUE(mgr.Covered(0));
   EXPECT_TRUE(mgr.Covered(1));
   EXPECT_EQ(mgr.stats().refined_queries, nq);
-  // Refinement is charged as the provider's derivation-call delta: 2 per
-  // freshly derived row.
-  EXPECT_EQ(mgr.stats().bound_refinement_calls, 2 * nq);
-  EXPECT_GE(mgr.stats().refine_rounds, 1u);
+  EXPECT_EQ(mgr.LowerEnvelope(0), mgr.LowerEnvelope(1));
+  EXPECT_EQ(mgr.UpperEnvelope(0), mgr.UpperEnvelope(1));
+  double lo = 0.0, hi = 0.0;
+  for (QueryId q = 0; q < nq; ++q) {
+    lo += cost(q, 0);
+    hi += cost(q, 1);
+  }
+  EXPECT_DOUBLE_EQ(mgr.LowerEnvelope(0), lo);
+  EXPECT_DOUBLE_EQ(mgr.UpperEnvelope(0), hi);
+  // One interval per (query, configuration) cell.
+  EXPECT_EQ(provider.bounds_calls, k * nq);
 }
 
 TEST(BudgetManagerTest, SampleSupersedesRefinedInterval) {
   const size_t nq = 20, k = 2;
   auto cost = [](QueryId q, ConfigId c) { return 5.0 + q + 2.0 * c; };
-  MatrixRowBoundsProvider provider(nq, k, cost);
-  BudgetManager mgr(k, nq, &provider, TestModel(), nullptr);
+  RowBounds provider(k, cost);
+  BudgetManager mgr(k, nq, &provider, nullptr);
 
   std::vector<bool> active(k, true);
-  std::vector<double> pair_prcs(k, 0.0);
-  mgr.DecideRound(0, 0, active, pair_prcs, 0.0);
+  mgr.DecideRound(0, 0, active);
   ASSERT_TRUE(mgr.Covered(1));
   const double width_before = mgr.UpperEnvelope(1) - mgr.LowerEnvelope(1);
 
@@ -279,6 +316,47 @@ TEST(BudgetManagerTest, SampleSupersedesRefinedInterval) {
   EXPECT_NEAR(width_after, width_before - iv.width(), 1e-9);
   EXPECT_LE(mgr.LowerEnvelope(1),
             mgr.UpperEnvelope(1) + 1e-12);
+}
+
+TEST(BudgetManagerTest, FreeBoundsRefineInGeometricChunksUntilCovered) {
+  // 64 queries, then as many as are already refined: 64, 64, 128, 256,
+  // and the 488 left of 1000, then nothing.
+  const size_t nq = 1000, k = 3;
+  RowBounds provider(k, [](QueryId q, ConfigId c) { return 1.0 + q + c; });
+  BudgetManager mgr(k, nq, &provider, nullptr);
+  const std::vector<bool> active(k, true);
+  std::vector<uint64_t> chunks;
+  uint64_t before = 0;
+  for (uint64_t round = 1; round <= 7; ++round) {
+    EXPECT_FALSE(mgr.Covered(0)) << "round " << round;
+    mgr.DecideRound(round, 0, active);
+    chunks.push_back(mgr.stats().refined_queries - before);
+    before = mgr.stats().refined_queries;
+    if (mgr.Covered(0)) break;
+  }
+  EXPECT_EQ(chunks, (std::vector<uint64_t>{64, 64, 128, 256, 488}));
+  for (ConfigId c = 0; c < k; ++c) EXPECT_TRUE(mgr.Covered(c));
+  mgr.DecideRound(8, 0, active);
+  EXPECT_EQ(mgr.stats().refined_queries, nq);
+}
+
+TEST(BudgetManagerTest, PricedBoundsAreNeverRefined) {
+  // A provider whose BoundsFor spends optimizer calls is never read: no
+  // refinement, no coverage until every query is sampled.
+  const size_t nq = 40, k = 2;
+  RowBounds provider(k, [](QueryId q, ConfigId c) { return 2.0 + q + c; },
+                     /*priced=*/true);
+  BudgetManager mgr(k, nq, &provider, nullptr);
+  const std::vector<bool> active(k, true);
+  for (uint64_t round = 1; round <= 5; ++round) {
+    EXPECT_TRUE(mgr.DecideRound(round, 0, active).empty());
+  }
+  for (QueryId q = 0; q < nq; q += 2) mgr.ObserveSample(q, 1, 1.0, 0.0);
+  mgr.DecideRound(6, 0, active);
+  EXPECT_EQ(provider.bounds_calls, 0u);
+  EXPECT_EQ(mgr.stats().refined_queries, 0u);
+  EXPECT_FALSE(mgr.Covered(0));
+  EXPECT_FALSE(mgr.Covered(1));
 }
 
 // --- Selector integration ----------------------------------------------------
@@ -321,8 +399,94 @@ TEST(SelectorBudgetTest, DynamicRunStaysSoundOnSyntheticMatrix) {
     EXPECT_GT(matrix.TotalCost(c), matrix.TotalCost(truth)) << "c=" << c;
   }
   EXPECT_EQ(marked, res.dominance_eliminations);
-  // Refinement calls are folded into the reported optimizer-call total.
-  EXPECT_GE(res.optimizer_calls, res.bound_refinement_calls);
+  // Row bounds are priced: never refined, never charged.
+  EXPECT_EQ(res.refined_queries, 0u);
+  EXPECT_EQ(res.bound_refinement_calls, 0u);
+}
+
+// Bumps a priced provider's shared derivation meter every round, the way
+// a concurrent session deriving bounds on the same cache would.
+class MeterBumpingSink : public TraceSink {
+ public:
+  explicit MeterBumpingSink(RowBounds* bounds) : bounds_(bounds) {}
+  void Round(const TraceRound&) override { bounds_->meter += 2; }
+
+ private:
+  RowBounds* bounds_;
+};
+
+TEST(SelectorBudgetTest, ConcurrentDerivationsAreNotCharged) {
+  MatrixCostSource m1 = SyntheticMatrix(400, 4, 8, 0.05, 97);
+  MatrixCostSource m2 = SyntheticMatrix(400, 4, 8, 0.05, 97);
+  std::vector<std::vector<double>> cols(m2.num_configs());
+  for (ConfigId c = 0; c < m2.num_configs(); ++c) cols[c] = m2.Column(c);
+  RowBounds bounds(m2.num_configs(),
+                   [&](QueryId q, ConfigId c) { return cols[c][q]; },
+                   /*priced=*/true);
+  MeterBumpingSink sink(&bounds);
+  SelectorOptions stat;
+  stat.alpha = 0.95;
+  stat.trace = &sink;
+  Rng r1(404);
+  SelectionResult base = ConfigurationSelector(&m1, stat).Run(&r1);
+  const uint64_t static_bumps = bounds.meter;
+  ASSERT_GT(base.rounds, 5u);
+
+  SelectorOptions dyn = stat;
+  dyn.budget_policy = BudgetPolicy::kDynamic;
+  dyn.bounds = &bounds;
+  Rng r2(404);
+  SelectionResult res = ConfigurationSelector(&m2, dyn).Run(&r2);
+  // The meter moved during the run, but none of it is this run's.
+  EXPECT_EQ(bounds.meter, 2 * static_bumps);
+  EXPECT_EQ(bounds.bounds_calls, 0u);
+  EXPECT_EQ(res.bound_refinement_calls, 0u);
+  EXPECT_EQ(res.optimizer_calls, base.optimizer_calls);
+  EXPECT_EQ(res.best, base.best);
+}
+
+TEST(SelectorBudgetTest, WorkloadBoundsCacheIsNeverDerivedByDynamicRuns) {
+  // The provider compare and serve build: §6.1 bounds derived through the
+  // optimizer. A dynamic run must not derive a single piece, and must
+  // reproduce the static run bit for bit, under both sampling schemes.
+  Schema schema = SmallTpcdSchema();
+  Workload wl = SmallTpcdWorkload(schema, 300);
+  WhatIfOptimizer opt(schema);
+  Rng pool_rng(17);
+  EnumeratorOptions eopt;
+  eopt.num_configs = 5;
+  eopt.eval_sample_size = 40;
+  std::vector<Configuration> pool =
+      EnumerateConfigurations(opt, wl, eopt, &pool_rng);
+  CandidateGenerator gen(schema);
+  CostBoundsDeriver deriver(opt, wl, Configuration("base"),
+                            gen.RichConfiguration(wl));
+  for (SamplingScheme scheme :
+       {SamplingScheme::kDelta, SamplingScheme::kIndependent}) {
+    SCOPED_TRACE(scheme == SamplingScheme::kDelta ? "delta" : "independent");
+    SelectorOptions stat;
+    stat.scheme = scheme;
+    stat.alpha = 0.99;
+    WhatIfCostSource s1(opt, wl, pool);
+    Rng r1(5);
+    SelectionResult base = ConfigurationSelector(&s1, stat).Run(&r1);
+
+    WorkloadBoundsCache cache(&deriver, &pool);
+    SelectorOptions dyn = stat;
+    dyn.budget_policy = BudgetPolicy::kDynamic;
+    dyn.bounds = &cache;
+    WhatIfCostSource s2(opt, wl, pool);
+    Rng r2(5);
+    SelectionResult res = ConfigurationSelector(&s2, dyn).Run(&r2);
+
+    EXPECT_EQ(cache.derivation_calls(), 0u);
+    EXPECT_EQ(res.best, base.best);
+    EXPECT_EQ(res.pr_cs, base.pr_cs);
+    EXPECT_EQ(res.queries_sampled, base.queries_sampled);
+    EXPECT_EQ(res.estimates, base.estimates);
+    EXPECT_EQ(res.optimizer_calls, base.optimizer_calls);
+    EXPECT_GT(base.rounds, 1u);
+  }
 }
 
 TEST(SelectorBudgetTest, WarmBoundsDominanceEliminatesGappedConfigs) {
@@ -361,7 +525,6 @@ TEST(SelectorBudgetTest, WarmBoundsDominanceEliminatesGappedConfigs) {
   SelectorOptions dyn = stat;
   dyn.budget_policy = BudgetPolicy::kDynamic;
   dyn.bounds = &provider;
-  dyn.budget_model = BudgetCostModel::ForLocalBounds();
   Rng r2(11);
   SelectionResult res = ConfigurationSelector(&m2, dyn).Run(&r2);
 

@@ -512,6 +512,38 @@ TEST(SpanTraceTest, ReportWithoutBudgetDecisionsOrSpansIsClean) {
   EXPECT_TRUE(read.value().span_rollup.empty());
 }
 
+TEST(SpanTraceTest, ReportReadsBudgetEventsOfOlderBuilds) {
+  // Older builds wrote a halt_refine action and value_refine /
+  // value_sample scores, and charged bound_calls. The report still reads
+  // such a trace: refine rounds and refined queries add up, bound_calls
+  // keeps the last cumulative value, the retired fields are ignored.
+  const std::string path = TempTracePath("older_budget.jsonl");
+  WriteFile(path,
+            "{\"ev\":\"run_start\",\"scheme\":\"delta\",\"k\":3,"
+            "\"alpha\":0.9}\n"
+            "{\"ev\":\"budget_decision\",\"round\":1,\"action\":"
+            "\"refine\",\"refined\":64,\"bound_calls\":128,\"dominated\":0,"
+            "\"value_refine\":0,\"value_sample\":0}\n"
+            "{\"ev\":\"budget_decision\",\"round\":2,\"action\":"
+            "\"halt_refine\",\"refined\":0,\"bound_calls\":130,"
+            "\"dominated\":1,\"value_refine\":0,\"value_sample\":0}\n"
+            "{\"ev\":\"budget_decision\",\"round\":3,\"action\":"
+            "\"sample\",\"refined\":0,\"bound_calls\":130,\"dominated\":0,"
+            "\"value_refine\":7.4309095885764955e-05,"
+            "\"value_sample\":2.0806621157110072e-05}\n"
+            "{\"ev\":\"run_end\",\"best\":0,\"pr\":0.95,\"target\":true,"
+            "\"rounds\":3,\"samples\":31,\"calls\":93,\"active\":2}\n");
+  auto read = ReadTraceReport(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const TraceReport& rep = read.value();
+  EXPECT_EQ(rep.budget_decisions, 3u);
+  EXPECT_EQ(rep.budget_refine_rounds, 1u);
+  EXPECT_EQ(rep.budget_refined_queries, 64u);
+  EXPECT_EQ(rep.budget_bound_calls, 130u);
+  EXPECT_EQ(rep.budget_dominated, 1u);
+  EXPECT_TRUE(rep.has_run_end);
+}
+
 TEST(SpanTraceTest, DrainSpansToSinkEmitsLiveSpans) {
   const bool was_enabled = obs::TimingEnabled();
   obs::SetTimingEnabled(true);
