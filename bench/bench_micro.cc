@@ -6,15 +6,21 @@
 // simulator the what-if call is itself microseconds, so the comparison is
 // directly visible.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
+#include <optional>
 
 #include "bench_common.h"
 #include "common/normal.h"
 #include "common/span.h"
+#include "common/thread_pool.h"
 #include "core/variance_bound.h"
 #include "optimizer/candidate_gen.h"
 #include "optimizer/cost_bounds.h"
+#include "optimizer/serialization.h"
 
 namespace pdx::bench {
 namespace {
@@ -668,6 +674,64 @@ std::vector<KernelPoint> PrintEstimatorKernelReport(bool quick,
   return points;
 }
 
+/// Artifact load and teardown of a 50k-query TPC-D workload (the
+/// cli-compare catalog's shape): LoadWorkload from a saved file, then
+/// destroying the loaded workload. Medians over `runs`.
+struct WorkloadLoadCost {
+  size_t queries = 0;
+  double file_mb = 0.0;
+  int runs = 0;
+  double load_ms = 0.0;
+  double free_ms = 0.0;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+WorkloadLoadCost PrintWorkloadLoadReport(bool quick) {
+  WorkloadLoadCost out;
+  out.queries = 50000;
+  out.runs = quick ? 7 : 21;
+  // A per-process directory: concurrent runs never share a catalog.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("pdx_bench_micro_" + std::to_string(getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "workload.pdx").string();
+  const Schema schema = MakeTpcdSchema();
+  {
+    TpcdWorkloadOptions wopt;
+    wopt.num_queries = static_cast<uint32_t>(out.queries);
+    wopt.seed = 20060407;
+    PDX_CHECK(SaveWorkload(GenerateTpcdWorkload(schema, wopt), path).ok());
+  }
+  out.file_mb = static_cast<double>(std::filesystem::file_size(path)) / 1e6;
+  std::vector<double> load_ms, free_ms;
+  for (int r = 0; r < out.runs; ++r) {
+    std::optional<Result<Workload>> loaded;
+    obs::Stopwatch load;
+    loaded.emplace(LoadWorkload(path, schema));
+    load_ms.push_back(static_cast<double>(load.ElapsedNs()) / 1e6);
+    PDX_CHECK(loaded->ok() && (*loaded)->size() == out.queries);
+    obs::Stopwatch teardown;
+    loaded.reset();
+    free_ms.push_back(static_cast<double>(teardown.ElapsedNs()) / 1e6);
+  }
+  std::filesystem::remove_all(dir);
+  out.load_ms = Median(load_ms);
+  out.free_ms = Median(free_ms);
+  std::printf(
+      "\n--- workload load report: %zu-query TPC-D workload, %.1f MB, "
+      "%zu threads, median of %d runs ---\n",
+      out.queries, out.file_mb, GlobalThreadPool().num_threads(), out.runs);
+  std::printf("%-20s %9.2f ms  (%.0f MB/s)\n", "load_workload_50k",
+              out.load_ms, out.file_mb / (out.load_ms / 1e3));
+  std::printf("%-20s %9.2f ms\n", "free_workload_50k", out.free_ms);
+  return out;
+}
+
 void WriteKernelPoints(std::FILE* f, const char* key,
                        const std::vector<KernelPoint>& points) {
   std::fprintf(f, "  \"%s\": [\n", key);
@@ -690,7 +754,8 @@ void WriteKernelPoints(std::FILE* f, const char* key,
 void WriteKernelJson(const std::string& path,
                      const std::vector<KernelPoint>& points,
                      const std::vector<KernelPoint>& stratified,
-                     const WhatIfCallCost& whatif, const SpanOverhead& span) {
+                     const WhatIfCallCost& whatif, const SpanOverhead& span,
+                     const WorkloadLoadCost& load) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -703,6 +768,12 @@ void WriteKernelJson(const std::string& path,
                "  \"whatif_ns_per_call\": %.1f,\n"
                "  \"whatif_explained_ns_per_call\": %.1f,\n",
                whatif.cost_ns, whatif.explained_ns);
+  std::fprintf(f,
+               "  \"workload_load\": {\"queries\": %zu, \"file_mb\": %.2f, "
+               "\"runs\": %d, \"load_workload_50k_ms\": %.3f, "
+               "\"free_workload_50k_ms\": %.3f},\n",
+               load.queries, load.file_mb, load.runs, load.load_ms,
+               load.free_ms);
   std::fprintf(f,
                "  \"span_overhead\": {\"runs\": %d, \"off_secs\": %.6f, "
                "\"on_secs\": %.6f, \"overhead_pct\": %.3f, \"spans\": %llu, "
@@ -750,8 +821,11 @@ int main(int argc, char** argv) {
   std::vector<pdx::bench::KernelPoint> stratified =
       pdx::bench::PrintEstimatorKernelReport(quick, 4);
   pdx::bench::SpanOverhead span = pdx::bench::PrintSpanOverheadReport(quick);
+  pdx::bench::WorkloadLoadCost load =
+      pdx::bench::PrintWorkloadLoadReport(quick);
   if (!json_path.empty()) {
-    pdx::bench::WriteKernelJson(json_path, kernel, stratified, whatif, span);
+    pdx::bench::WriteKernelJson(json_path, kernel, stratified, whatif, span,
+                                load);
   }
   return 0;
 }

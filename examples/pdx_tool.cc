@@ -590,6 +590,27 @@ int RunCompare(int argc, char** argv) {
     return 1;
   }
 
+  // Observability surface: --trace (PDX_TRACE fallback) and --metrics.
+  // The ledger's per-phase rollup is built from spans, so --ledger turns
+  // timing on too (tracing/timing never changes the run's decisions).
+  // Timing starts before the artifacts load so their spans are recorded,
+  // and the ledger's wall clock covers load through output.
+  std::string metrics_fmt = FlagValue(argc, argv, "metrics", "");
+  bool metrics = HasFlag(argc, argv, "metrics") || !metrics_fmt.empty();
+  std::unique_ptr<JsonlTraceSink> trace_sink;
+  if (!trace_path.empty()) {
+    auto opened = JsonlTraceSink::Open(trace_path);
+    if (!opened.ok()) {
+      std::printf("error: %s\n", opened.status().ToString().c_str());
+      return 1;
+    }
+    trace_sink = std::move(*opened);
+  }
+  if (trace_sink != nullptr || metrics || ledger_on) {
+    obs::SetTimingEnabled(true);
+  }
+  const uint64_t wall_t0 = obs::NowNs();
+
   auto schema = LoadSchema(SchemaPath(dir));
   if (!schema.ok()) {
     std::printf("error: %s\n", schema.status().ToString().c_str());
@@ -630,24 +651,6 @@ int RunCompare(int argc, char** argv) {
         optimizer, *workload, *configs);
     source = sig_source.get();
   }
-  // Observability surface: --trace (PDX_TRACE fallback) and --metrics.
-  std::string metrics_fmt = FlagValue(argc, argv, "metrics", "");
-  bool metrics = HasFlag(argc, argv, "metrics") || !metrics_fmt.empty();
-  std::unique_ptr<JsonlTraceSink> trace_sink;
-  if (!trace_path.empty()) {
-    auto opened = JsonlTraceSink::Open(trace_path);
-    if (!opened.ok()) {
-      std::printf("error: %s\n", opened.status().ToString().c_str());
-      return 1;
-    }
-    trace_sink = std::move(*opened);
-  }
-  // The ledger's per-phase rollup is built from spans, so --ledger turns
-  // timing on too (tracing/timing never changes the run's decisions).
-  if (trace_sink != nullptr || metrics || ledger_on) {
-    obs::SetTimingEnabled(true);
-  }
-
   SelectorOptions sopt;
   sopt.alpha = alpha;
   sopt.trace = trace_sink.get();
@@ -690,10 +693,7 @@ int RunCompare(int argc, char** argv) {
   sopt.budget_policy = budget_policy;
   ConfigurationSelector selector(source, sopt);
   Rng rng(42);
-  const uint64_t wall_t0 = obs::NowNs();
   SelectionResult r = selector.Run(&rng);
-  const double wall_ms =
-      static_cast<double>(obs::NowNs() - wall_t0) / 1e6;
 
   std::printf(
       "selected configuration %u with Pr(CS) = %.3f\n"
@@ -743,6 +743,8 @@ int RunCompare(int argc, char** argv) {
         static_cast<unsigned long long>(r.degraded_cells));
   }
   if (trace_sink != nullptr) EmitWhatIfLatencySummary(trace_sink.get());
+  const double wall_ms =
+      static_cast<double>(obs::NowNs() - wall_t0) / 1e6;
   // Span drain order: spans land in the trace (when one is attached)
   // before the final flush; the ledger entry reuses the same snapshot.
   int ledger_rc = 0;

@@ -1,6 +1,7 @@
 #include "optimizer/candidate_gen.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -12,7 +13,7 @@ namespace {
 // Appends `extra` columns to `base` skipping duplicates; used to build
 // covering include lists.
 std::vector<ColumnId> IncludesFor(const std::vector<ColumnId>& keys,
-                                  const std::vector<ColumnId>& referenced) {
+                                  std::span<const ColumnId> referenced) {
   std::vector<ColumnId> includes;
   for (ColumnId c : referenced) {
     if (std::find(keys.begin(), keys.end(), c) == keys.end()) {
@@ -136,7 +137,7 @@ void CandidateGenerator::AddViewCandidate(const SelectSpec& spec,
   // Group by the query's grouping columns plus every predicate column, so
   // differently-parameterized instances of the template can still filter
   // the view.
-  std::vector<ColumnRef> group_cols = spec.group_by;
+  std::vector<ColumnRef> group_cols(spec.group_by.begin(), spec.group_by.end());
   for (const TableAccess& a : spec.accesses) {
     for (const Predicate& p : a.predicates) group_cols.push_back(p.column);
   }

@@ -86,7 +86,7 @@ double CostModel::JoinCardinality(double left_rows, double right_rows,
 }
 
 double CostModel::GroupCardinality(
-    double rows, const std::vector<ColumnRef>& columns) const {
+    double rows, std::span<const ColumnRef> columns) const {
   if (columns.empty() || rows <= 0.0) return std::min(rows, 1.0);
   double groups = 1.0;
   for (const ColumnRef& c : columns) groups *= ColumnNdv(c);

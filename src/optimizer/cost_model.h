@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "catalog/schema.h"
 #include "optimizer/physical_design.h"
@@ -73,7 +74,7 @@ class CostModel {
 
   /// Estimated group count when grouping `rows` tuples by `columns`.
   double GroupCardinality(double rows,
-                          const std::vector<ColumnRef>& columns) const;
+                          std::span<const ColumnRef> columns) const;
 
  private:
   const Schema& schema_;

@@ -67,7 +67,7 @@ bool Index::Contains(ColumnId column) const {
              include_columns.end();
 }
 
-bool Index::Covers(const std::vector<ColumnId>& columns) const {
+bool Index::Covers(std::span<const ColumnId> columns) const {
   for (ColumnId c : columns) {
     if (!Contains(c)) return false;
   }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ struct Index {
   /// True if `column` appears in keys or includes.
   bool Contains(ColumnId column) const;
   /// True if every column in `columns` appears in keys or includes.
-  bool Covers(const std::vector<ColumnId>& columns) const;
+  bool Covers(std::span<const ColumnId> columns) const;
   /// Canonical name, e.g. "ix_lineitem(l_shipdate)incl(...)".
   std::string Name(const Schema& schema) const;
   /// Order-insensitive 64-bit identity hash.

@@ -32,7 +32,8 @@ QueryFootprint ComputeFootprint(const Query& query) {
     const TableAccess& access = spec.accesses[a];
     AccessFootprint& out = f.accesses[a];
     out.table = access.table;
-    out.referenced_columns = access.referenced_columns;
+    out.referenced_columns.assign(access.referenced_columns.begin(),
+                                  access.referenced_columns.end());
     for (const Predicate& p : access.predicates) {
       // MatchSeekPrefix only anchors on sargable Eq/In/Range predicates.
       if (!p.sargable) continue;
@@ -63,12 +64,13 @@ QueryFootprint ComputeFootprint(const Query& query) {
     }
     f.join_signature = MakeJoinSignature(edges);
   }
-  f.group_by = spec.group_by;
+  f.group_by.assign(spec.group_by.begin(), spec.group_by.end());
   if (query.update.has_value()) {
     f.has_update = true;
     f.update_table = query.update->table;
     f.update_kind = query.update->kind;
-    f.update_set_columns = query.update->set_columns;
+    f.update_set_columns.assign(query.update->set_columns.begin(),
+                                query.update->set_columns.end());
   }
   return f;
 }

@@ -4,9 +4,12 @@
 #include <charconv>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <type_traits>
 
+#include "common/span.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 
@@ -21,7 +24,7 @@ constexpr const char* kConfigMagic = "pdx-config 1";
 // Doubles are serialized as hexfloats so selectivities round-trip exactly.
 std::string HexDouble(double v) { return StringFormat("%a", v); }
 
-std::string JoinCsv(const std::vector<ColumnId>& ids) {
+std::string JoinCsv(std::span<const ColumnId> ids) {
   std::string out;
   for (size_t i = 0; i < ids.size(); ++i) {
     if (i > 0) out += ",";
@@ -30,7 +33,7 @@ std::string JoinCsv(const std::vector<ColumnId>& ids) {
   return out.empty() ? "-" : out;
 }
 
-std::string JoinRefs(const std::vector<ColumnRef>& refs) {
+std::string JoinRefs(std::span<const ColumnRef> refs) {
   std::string out;
   for (size_t i = 0; i < refs.size(); ++i) {
     if (i > 0) out += ",";
@@ -244,6 +247,7 @@ Status SaveSchema(const Schema& schema, const std::string& path) {
 }
 
 Result<Schema> LoadSchema(const std::string& path) {
+  obs::SpanScope span("load_schema", "serialization");
   auto text = ReadFile(path);
   PDX_RETURN_IF_ERROR(text.status());
   RecordReader r(path, *text);
@@ -345,15 +349,19 @@ Status SaveWorkload(const Workload& workload, const std::string& path) {
 
 namespace {
 
-/// Decodes the query records of one slice of the query section into `out`.
-/// Every slice but the last ends with an "end" line and the next starts
-/// with a "query" line, so each slice starts in the state the serial
-/// decoder would be in at that line: outside a query.
+/// Decodes the query records of one slice of the query section: headers
+/// into `out`, lists into `store`. Every slice but the last ends with an
+/// "end" line and the next starts with a "query" line, so each slice starts
+/// in the state the serial decoder would be in at that line: outside a
+/// query.
 Status DecodeQueries(RecordReader& r, size_t num_templates,
-                     std::vector<Query>* out) {
+                     std::vector<Query>* out, QueryStore* store) {
   Query query;
   bool in_query = false;
-  TableAccess* access = nullptr;
+  bool in_access = false;
+  // Parsed lists, reused across records.
+  std::vector<ColumnId> ids;
+  std::vector<ColumnRef> refs;
   while (r.Next()) {
     const std::string_view tag = r[0];
     if (tag == "query") {
@@ -361,7 +369,7 @@ Status DecodeQueries(RecordReader& r, size_t num_templates,
       if (in_query) return r.Error("query without end");
       query = Query();
       in_query = true;
-      access = nullptr;
+      in_access = false;
       PDX_RETURN_IF_ERROR(r.Uint(2, &query.template_id));
       if (query.template_id >= num_templates) {
         return r.Error("query template id " +
@@ -373,15 +381,14 @@ Status DecodeQueries(RecordReader& r, size_t num_templates,
       PDX_RETURN_IF_ERROR(r.Real(4, &query.optimize_overhead));
     } else if (tag == "access") {
       if (r.size() != 3 || !in_query) return r.Error("bad access record");
-      TableAccess& a = query.select.accesses.emplace_back();
-      PDX_RETURN_IF_ERROR(r.Uint(1, &a.table));
-      PDX_RETURN_IF_ERROR(r.List(2, &a.referenced_columns));
-      access = &a;
+      TableId table = kInvalidTableId;
+      PDX_RETURN_IF_ERROR(r.Uint(1, &table));
+      PDX_RETURN_IF_ERROR(r.List(2, &ids));
+      store->AddAccess(table, ids);
+      in_access = true;
     } else if (tag == "pred") {
-      if (r.size() != 8 || access == nullptr) {
-        return r.Error("bad pred record");
-      }
-      Predicate& p = access->predicates.emplace_back();
+      if (r.size() != 8 || !in_access) return r.Error("bad pred record");
+      Predicate p;
       PDX_RETURN_IF_ERROR(r.Uint(1, &p.column.table));
       PDX_RETURN_IF_ERROR(r.Uint(2, &p.column.column));
       PDX_RETURN_IF_ERROR(r.Uint(3, &p.op, PredOp::kIn));
@@ -389,19 +396,23 @@ Status DecodeQueries(RecordReader& r, size_t num_templates,
       p.sargable = r[5] == "1";
       PDX_RETURN_IF_ERROR(r.Uint(6, &p.value_rank));
       PDX_RETURN_IF_ERROR(r.Real(7, &p.domain_fraction));
+      store->AddPredicate(p);
     } else if (tag == "join") {
       if (r.size() != 5 || !in_query) return r.Error("bad join record");
-      JoinEdge& j = query.select.joins.emplace_back();
+      JoinEdge j;
       PDX_RETURN_IF_ERROR(r.Uint(1, &j.left_access));
       PDX_RETURN_IF_ERROR(r.Uint(2, &j.right_access));
       PDX_RETURN_IF_ERROR(r.Uint(3, &j.left_column));
       PDX_RETURN_IF_ERROR(r.Uint(4, &j.right_column));
+      store->AddJoin(j);
     } else if (tag == "groupby") {
       if (r.size() != 2 || !in_query) return r.Error("bad groupby");
-      PDX_RETURN_IF_ERROR(r.Refs(1, &query.select.group_by));
+      PDX_RETURN_IF_ERROR(r.Refs(1, &refs));
+      store->SetGroupBy(refs);
     } else if (tag == "orderby") {
       if (r.size() != 2 || !in_query) return r.Error("bad orderby");
-      PDX_RETURN_IF_ERROR(r.Refs(1, &query.select.order_by));
+      PDX_RETURN_IF_ERROR(r.Refs(1, &refs));
+      store->SetOrderBy(refs);
     } else if (tag == "agg") {
       if (r.size() != 2 || !in_query) return r.Error("bad agg");
       PDX_RETURN_IF_ERROR(r.Uint(1, &query.select.num_aggregates));
@@ -411,12 +422,13 @@ Status DecodeQueries(RecordReader& r, size_t num_templates,
       PDX_RETURN_IF_ERROR(r.Uint(1, &u.table));
       PDX_RETURN_IF_ERROR(r.Uint(2, &u.kind, StatementKind::kDelete));
       PDX_RETURN_IF_ERROR(r.Real(3, &u.selectivity));
-      PDX_RETURN_IF_ERROR(r.List(4, &u.set_columns));
+      PDX_RETURN_IF_ERROR(r.List(4, &ids));
+      store->SetUpdateColumns(ids);
     } else if (tag == "end") {
       if (!in_query) return r.Error("end without query");
-      out->push_back(std::move(query));
+      out->push_back(store->Finish(query));
       in_query = false;
-      access = nullptr;
+      in_access = false;
     } else if (tag == "template") {
       return r.Error("template record after the first query record");
     } else {
@@ -445,8 +457,12 @@ std::vector<size_t> ChunkStarts(std::string_view section) {
 }  // namespace
 
 Result<Workload> LoadWorkload(const std::string& path, const Schema& schema) {
+  obs::SpanScope span("load_workload", "serialization");
+  std::optional<obs::SpanScope> phase(std::in_place, "read", "serialization");
   auto text = ReadFile(path);
   PDX_RETURN_IF_ERROR(text.status());
+  phase.reset();
+  phase.emplace("decode", "serialization");
   RecordReader r(path, *text);
   auto name = ReadPreamble(&r, kWorkloadMagic);
   PDX_RETURN_IF_ERROR(name.status());
@@ -495,13 +511,16 @@ Result<Workload> LoadWorkload(const std::string& path, const Schema& schema) {
   first_line[0] = r.line();
   for (size_t i = 0; i < num_chunks; ++i) first_line[i + 1] += first_line[i];
 
+  // Each chunk decodes into its own flat store; the workload then adopts
+  // the stores without copying their elements.
   const size_t num_templates = workload.num_templates();
   std::vector<std::vector<Query>> decoded(num_chunks);
+  std::vector<QueryStore> stores(num_chunks);
   std::vector<Status> status(num_chunks);
   GlobalThreadPool().ParallelFor(0, num_chunks, 1, [&](size_t b, size_t e) {
     for (size_t i = b; i < e; ++i) {
       RecordReader chunk(path, chunk_text(i), first_line[i]);
-      status[i] = DecodeQueries(chunk, num_templates, &decoded[i]);
+      status[i] = DecodeQueries(chunk, num_templates, &decoded[i], &stores[i]);
     }
   });
 
@@ -511,10 +530,12 @@ Result<Workload> LoadWorkload(const std::string& path, const Schema& schema) {
     total += decoded[i].size();
   }
   workload.Reserve(total);
-  for (std::vector<Query>& chunk : decoded) {
-    for (Query& q : chunk) workload.AddQuery(std::move(q));
-    std::vector<Query>().swap(chunk);
+  for (size_t i = 0; i < num_chunks; ++i) {
+    workload.AdoptQueries(decoded[i], std::move(stores[i]));
+    std::vector<Query>().swap(decoded[i]);
   }
+  phase.reset();
+  phase.emplace("validate", "serialization");
   PDX_RETURN_IF_ERROR(workload.Validate());
   return workload;
 }
@@ -556,6 +577,7 @@ Status SaveConfiguration(const Configuration& config, const Schema& schema,
 
 Result<Configuration> LoadConfiguration(const std::string& path,
                                         const Schema& schema) {
+  obs::SpanScope span("load_configuration", "serialization");
   auto text = ReadFile(path);
   PDX_RETURN_IF_ERROR(text.status());
   RecordReader r(path, *text);

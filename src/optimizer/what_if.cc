@@ -58,7 +58,7 @@ SeekMatch MatchSeekPrefix(const Index& index, const TableAccess& access) {
 
 WhatIfOptimizer::AccessPlan WhatIfOptimizer::BestAccessPath(
     const TableAccess& access, const Configuration& config,
-    const std::vector<ColumnRef>& group_by) const {
+    std::span<const ColumnRef> group_by) const {
   const Table& table = model_.schema().table(access.table);
   const double table_rows = static_cast<double>(table.row_count);
   const double combined_sel = access.CombinedSelectivity();

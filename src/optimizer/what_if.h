@@ -111,7 +111,7 @@ class WhatIfOptimizer {
 
   AccessPlan BestAccessPath(const TableAccess& access,
                             const Configuration& config,
-                            const std::vector<ColumnRef>& group_by) const;
+                            std::span<const ColumnRef> group_by) const;
 
   /// "kind(structure)" text of a chosen access path, e.g.
   /// "index_seek(ix_orders(o_custkey))" or "heap_scan(lineitem)".

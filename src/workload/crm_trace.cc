@@ -53,7 +53,7 @@ struct CrmTemplate {
   std::string name;
   StatementKind kind;
   std::vector<TableId> tables;
-  std::function<Query(const Schema&, Rng*, TemplateId)> build;
+  std::function<Query(QueryBuilder&, TemplateId)> build;
 };
 
 // Picks a column id or falls back to the row-id column.
@@ -106,8 +106,7 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
         templates.push_back(
             {StringFormat("sel_point_%u", i), StatementKind::kSelect,
              {tab},
-             [tab, id_col](const Schema& s, Rng* rng, TemplateId t) {
-               QueryBuilder b(s, rng);
+             [&s = schema, tab, id_col](QueryBuilder& b, TemplateId t) {
                uint32_t a = b.AddAccess(tab);
                b.AddSampledEq(a, id_col);
                const Table& tbl = s.table(tab);
@@ -130,8 +129,7 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
         templates.push_back(
             {StringFormat("sel_filter_%u", i), StatementKind::kSelect,
              {tab},
-             [tab, eq_col, range_col](const Schema& s, Rng* rng, TemplateId t) {
-               QueryBuilder b(s, rng);
+             [tab, eq_col, range_col](QueryBuilder& b, TemplateId t) {
                uint32_t a = b.AddAccess(tab);
                b.AddSampledEq(a, eq_col);
                if (range_col) b.AddSampledRange(a, *range_col, 0.05, 0.4);
@@ -153,9 +151,8 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
         templates.push_back(
             {StringFormat("sel_join2_%u", i), StatementKind::kSelect,
              {left, right},
-             [left, right, fk, right_id, filter](const Schema& s, Rng* rng,
+             [left, right, fk, right_id, filter](QueryBuilder& b,
                                                  TemplateId t) {
-               QueryBuilder b(s, rng);
                uint32_t a0 = b.AddAccess(left);
                uint32_t a1 = b.AddAccess(right);
                b.AddSampledEq(a0, filter);
@@ -176,9 +173,8 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
         templates.push_back(
             {StringFormat("sel_report_%u", i), StatementKind::kSelect,
              {tab},
-             [tab, date_col, group_col, agg_col](const Schema& s, Rng* rng,
+             [tab, date_col, group_col, agg_col](QueryBuilder& b,
                                                  TemplateId t) {
-               QueryBuilder b(s, rng);
                uint32_t a = b.AddAccess(tab);
                b.AddSampledRange(a, date_col, 0.1, 0.5);
                b.GroupBy(a, group_col);
@@ -206,8 +202,7 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
         templates.push_back(
             {StringFormat("ins_%u", i), StatementKind::kInsert,
              {tab},
-             [tab, cols](const Schema& s, Rng* rng, TemplateId t) {
-               QueryBuilder b(s, rng);
+             [tab, cols](QueryBuilder& b, TemplateId t) {
                return b.BuildDml(t, StatementKind::kInsert, tab, cols);
              }});
         break;
@@ -223,8 +218,7 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
         templates.push_back(
             {StringFormat("upd_%u", i), StatementKind::kUpdate,
              {tab},
-             [tab, where_col, set_cols](const Schema& s, Rng* rng, TemplateId t) {
-               QueryBuilder b(s, rng);
+             [tab, where_col, set_cols](QueryBuilder& b, TemplateId t) {
                uint32_t a = b.AddAccess(tab);
                b.AddSampledEq(a, where_col);
                return b.BuildDml(t, StatementKind::kUpdate, tab, set_cols);
@@ -241,8 +235,7 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
         templates.push_back(
             {StringFormat("del_%u", i), StatementKind::kDelete,
              {tab},
-             [tab, date_col, id_col](const Schema& s, Rng* rng, TemplateId t) {
-               QueryBuilder b(s, rng);
+             [tab, date_col, id_col](QueryBuilder& b, TemplateId t) {
                uint32_t a = b.AddAccess(tab);
                if (date_col) {
                  b.AddSampledRange(a, *date_col, 0.005, 0.05);
@@ -259,8 +252,8 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
   // Register all templates.
   for (size_t i = 0; i < templates.size(); ++i) {
     Rng probe_rng(options.seed ^ (0xFEED0000ULL + i));
-    Query probe =
-        templates[i].build(schema, &probe_rng, static_cast<TemplateId>(i));
+    QueryBuilder probe_builder(schema, &probe_rng);
+    Query probe = templates[i].build(probe_builder, static_cast<TemplateId>(i));
     QueryTemplate tmpl;
     tmpl.name = templates[i].name;
     tmpl.kind = templates[i].kind;
@@ -278,9 +271,10 @@ Workload GenerateCrmTrace(const Schema& schema, const CrmTraceOptions& options) 
     order[i] = static_cast<uint32_t>(popularity.Sample(&gen_rng));
   }
   gen_rng.Shuffle(&order);
+  wl.Reserve(order.size());
+  QueryBuilder b(schema, &gen_rng);
   for (uint32_t ti : order) {
-    Query q = templates[ti].build(schema, &gen_rng, static_cast<TemplateId>(ti));
-    wl.AddQuery(std::move(q));
+    wl.AddQuery(templates[ti].build(b, static_cast<TemplateId>(ti)));
   }
 
   PDX_CHECK(wl.Validate().ok());

@@ -5,10 +5,16 @@
 // (optimizer-estimated) selectivities, the join graph, grouping/ordering
 // requirements, and — for DML — the update part after the standard
 // SELECT/UPDATE split the paper describes in §6.1.
+//
+// Every list member of a query is a read-only view (std::span) into flat
+// arrays owned elsewhere: a Workload's QueryStore (workload/query_store.h)
+// for stored queries, or a QueryBuilder's scratch for the query it just
+// built. A Query is therefore trivially copyable and never owns memory.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +51,10 @@ struct Predicate {
 /// the set of columns the rest of the plan needs from it.
 struct TableAccess {
   TableId table = kInvalidTableId;
-  std::vector<Predicate> predicates;
+  std::span<const Predicate> predicates;
   /// Columns of `table` referenced anywhere in the query (output list,
   /// join keys, grouping, ordering). Used for covering-index checks.
-  std::vector<ColumnId> referenced_columns;
+  std::span<const ColumnId> referenced_columns;
 
   /// Product of predicate selectivities (independence assumption).
   double CombinedSelectivity() const;
@@ -72,15 +78,15 @@ struct SelectSpec {
   /// 64-bit mask, and Workload::Validate rejects larger statements.
   static constexpr size_t kMaxAccesses = 64;
 
-  std::vector<TableAccess> accesses;
+  std::span<const TableAccess> accesses;
   /// Join edges; the optimizer composes them left-deep in the given order,
   /// which the generators arrange from most- to least-selective. Every
   /// edge after the first must touch an access already joined by the
   /// edges before it (the first edge's left access starts the prefix);
   /// Workload::Validate rejects a disconnected order.
-  std::vector<JoinEdge> joins;
-  std::vector<ColumnRef> group_by;
-  std::vector<ColumnRef> order_by;
+  std::span<const JoinEdge> joins;
+  std::span<const ColumnRef> group_by;
+  std::span<const ColumnRef> order_by;
   /// Number of aggregate expressions in the output list.
   uint32_t num_aggregates = 0;
 
@@ -95,7 +101,7 @@ struct UpdateSpec {
   StatementKind kind = StatementKind::kUpdate;
   /// Columns written (UPDATE SET list / INSERT column list). Empty for
   /// DELETE, which logically touches every column.
-  std::vector<ColumnId> set_columns;
+  std::span<const ColumnId> set_columns;
   /// Estimated fraction of the table's rows affected. For INSERT this is
   /// 1/row_count (a single row).
   double selectivity = 0.0;

@@ -4,24 +4,44 @@
 
 namespace pdx {
 
+void QueryBuilder::Restart() {
+  if (!built_) return;
+  built_ = false;
+  for (size_t i = 0; i < num_accesses_; ++i) {
+    accesses_[i].predicates.clear();
+    accesses_[i].referenced_columns.clear();
+  }
+  num_accesses_ = 0;
+  joins_.clear();
+  group_by_.clear();
+  order_by_.clear();
+  set_columns_.clear();
+  num_aggregates_ = 0;
+}
+
+QueryBuilder::AccessScratch& QueryBuilder::Access(uint32_t a) {
+  Restart();
+  PDX_CHECK(a < num_accesses_);
+  return accesses_[a];
+}
+
 uint32_t QueryBuilder::AddAccess(TableId table) {
+  Restart();
   PDX_CHECK(table < schema_.num_tables());
-  TableAccess access;
-  access.table = table;
-  spec_.accesses.push_back(std::move(access));
-  return static_cast<uint32_t>(spec_.accesses.size() - 1);
+  if (num_accesses_ == accesses_.size()) accesses_.emplace_back();
+  accesses_[num_accesses_].table = table;
+  return static_cast<uint32_t>(num_accesses_++);
 }
 
 ColumnId QueryBuilder::Col(uint32_t a, std::string_view name) const {
-  PDX_CHECK(a < spec_.accesses.size());
-  ColumnId id = schema_.table(spec_.accesses[a].table).FindColumn(name);
+  PDX_CHECK(!built_ && a < num_accesses_);
+  ColumnId id = schema_.table(accesses_[a].table).FindColumn(name);
   PDX_CHECK_MSG(id != kInvalidColumnId, std::string(name).c_str());
   return id;
 }
 
 void QueryBuilder::AddSampledEq(uint32_t a, ColumnId col) {
-  PDX_CHECK(a < spec_.accesses.size());
-  TableAccess& access = spec_.accesses[a];
+  AccessScratch& access = Access(a);
   const Column& column = schema_.table(access.table).columns[col];
   ColumnStatistics stats(column);
   uint64_t rank = stats.SampleValueRank(rng_);
@@ -29,8 +49,7 @@ void QueryBuilder::AddSampledEq(uint32_t a, ColumnId col) {
 }
 
 void QueryBuilder::AddEq(uint32_t a, ColumnId col, uint64_t value_rank) {
-  PDX_CHECK(a < spec_.accesses.size());
-  TableAccess& access = spec_.accesses[a];
+  AccessScratch& access = Access(a);
   const Column& column = schema_.table(access.table).columns[col];
   ColumnStatistics stats(column);
   Predicate p;
@@ -43,10 +62,9 @@ void QueryBuilder::AddEq(uint32_t a, ColumnId col, uint64_t value_rank) {
 
 void QueryBuilder::AddSampledRange(uint32_t a, ColumnId col,
                                    double lo_fraction, double hi_fraction) {
-  PDX_CHECK(a < spec_.accesses.size());
   PDX_CHECK(lo_fraction > 0.0 && lo_fraction <= hi_fraction &&
             hi_fraction <= 1.0);
-  TableAccess& access = spec_.accesses[a];
+  AccessScratch& access = Access(a);
   const Column& column = schema_.table(access.table).columns[col];
   ColumnStatistics stats(column);
   // The dispersion knob rescales the sampling window around its midpoint.
@@ -67,9 +85,8 @@ void QueryBuilder::AddSampledRange(uint32_t a, ColumnId col,
 
 void QueryBuilder::AddUnsargable(uint32_t a, ColumnId col,
                                  double selectivity) {
-  PDX_CHECK(a < spec_.accesses.size());
   PDX_CHECK(selectivity > 0.0 && selectivity <= 1.0);
-  TableAccess& access = spec_.accesses[a];
+  AccessScratch& access = Access(a);
   Predicate p;
   p.column = {access.table, col};
   p.op = PredOp::kLike;
@@ -80,30 +97,28 @@ void QueryBuilder::AddUnsargable(uint32_t a, ColumnId col,
 
 void QueryBuilder::AddJoin(uint32_t left, uint32_t right, ColumnId left_col,
                            ColumnId right_col) {
-  PDX_CHECK(left < spec_.accesses.size());
-  PDX_CHECK(right < spec_.accesses.size());
+  Restart();
+  PDX_CHECK(left < num_accesses_);
+  PDX_CHECK(right < num_accesses_);
   PDX_CHECK(left != right);
   JoinEdge e;
   e.left_access = left;
   e.right_access = right;
   e.left_column = left_col;
   e.right_column = right_col;
-  spec_.joins.push_back(e);
+  joins_.push_back(e);
 }
 
 void QueryBuilder::GroupBy(uint32_t a, ColumnId col) {
-  PDX_CHECK(a < spec_.accesses.size());
-  spec_.group_by.push_back({spec_.accesses[a].table, col});
+  group_by_.push_back({Access(a).table, col});
 }
 
 void QueryBuilder::OrderBy(uint32_t a, ColumnId col) {
-  PDX_CHECK(a < spec_.accesses.size());
-  spec_.order_by.push_back({spec_.accesses[a].table, col});
+  order_by_.push_back({Access(a).table, col});
 }
 
 void QueryBuilder::Refer(uint32_t a, std::initializer_list<ColumnId> cols) {
-  PDX_CHECK(a < spec_.accesses.size());
-  TableAccess& access = spec_.accesses[a];
+  AccessScratch& access = Access(a);
   access.referenced_columns.insert(access.referenced_columns.end(),
                                    cols.begin(), cols.end());
 }
@@ -111,19 +126,19 @@ void QueryBuilder::Refer(uint32_t a, std::initializer_list<ColumnId> cols) {
 void QueryBuilder::FoldReferencedColumns() {
   // Fold predicate, join, group-by and order-by columns into each access's
   // referenced set, then deduplicate.
-  for (TableAccess& a : spec_.accesses) {
+  const std::span<AccessScratch> accesses(accesses_.data(), num_accesses_);
+  for (AccessScratch& a : accesses) {
     for (const Predicate& p : a.predicates) {
       a.referenced_columns.push_back(p.column.column);
     }
   }
-  for (const JoinEdge& j : spec_.joins) {
-    spec_.accesses[j.left_access].referenced_columns.push_back(j.left_column);
-    spec_.accesses[j.right_access].referenced_columns.push_back(
-        j.right_column);
+  for (const JoinEdge& j : joins_) {
+    accesses[j.left_access].referenced_columns.push_back(j.left_column);
+    accesses[j.right_access].referenced_columns.push_back(j.right_column);
   }
   auto fold_refs = [&](const std::vector<ColumnRef>& refs) {
     for (const ColumnRef& r : refs) {
-      for (TableAccess& a : spec_.accesses) {
+      for (AccessScratch& a : accesses) {
         if (a.table == r.table) {
           a.referenced_columns.push_back(r.column);
           break;
@@ -131,9 +146,9 @@ void QueryBuilder::FoldReferencedColumns() {
       }
     }
   };
-  fold_refs(spec_.group_by);
-  fold_refs(spec_.order_by);
-  for (TableAccess& a : spec_.accesses) {
+  fold_refs(group_by_);
+  fold_refs(order_by_);
+  for (AccessScratch& a : accesses) {
     std::sort(a.referenced_columns.begin(), a.referenced_columns.end());
     a.referenced_columns.erase(
         std::unique(a.referenced_columns.begin(), a.referenced_columns.end()),
@@ -141,34 +156,52 @@ void QueryBuilder::FoldReferencedColumns() {
   }
 }
 
-Query QueryBuilder::BuildSelect(TemplateId template_id) {
+Query QueryBuilder::Finish(Query q) {
   FoldReferencedColumns();
-  Query q;
-  q.template_id = template_id;
-  q.kind = StatementKind::kSelect;
-  q.select = std::move(spec_);
-  // Optimization overhead grows with join count (§5.2's non-constant
-  // optimization times).
-  q.optimize_overhead = 1.0 + 0.35 * static_cast<double>(q.select.joins.size());
-  spec_ = SelectSpec();
+  built_accesses_.clear();
+  for (size_t i = 0; i < num_accesses_; ++i) {
+    TableAccess& a = built_accesses_.emplace_back();
+    a.table = accesses_[i].table;
+    a.predicates = accesses_[i].predicates;
+    a.referenced_columns = accesses_[i].referenced_columns;
+  }
+  q.select.accesses = built_accesses_;
+  q.select.joins = joins_;
+  q.select.group_by = group_by_;
+  q.select.order_by = order_by_;
+  q.select.num_aggregates = num_aggregates_;
+  built_ = true;
   return q;
 }
 
+Query QueryBuilder::BuildSelect(TemplateId template_id) {
+  Restart();
+  Query q;
+  q.template_id = template_id;
+  q.kind = StatementKind::kSelect;
+  // Optimization overhead grows with join count (§5.2's non-constant
+  // optimization times).
+  q.optimize_overhead = 1.0 + 0.35 * static_cast<double>(joins_.size());
+  return Finish(q);
+}
+
 Query QueryBuilder::BuildDml(TemplateId template_id, StatementKind kind,
-                             TableId table, std::vector<ColumnId> set_columns,
+                             TableId table,
+                             std::span<const ColumnId> set_columns,
                              double selectivity) {
   PDX_CHECK(kind != StatementKind::kSelect);
-  FoldReferencedColumns();
+  Restart();
   Query q;
   q.template_id = template_id;
   q.kind = kind;
-  q.select = std::move(spec_);
-  spec_ = SelectSpec();
+  q.optimize_overhead = 1.0;
+  set_columns_.assign(set_columns.begin(), set_columns.end());
+  q = Finish(q);
 
   UpdateSpec u;
   u.table = table;
   u.kind = kind;
-  u.set_columns = std::move(set_columns);
+  u.set_columns = set_columns_;
   if (selectivity > 0.0) {
     u.selectivity = selectivity;
   } else if (kind == StatementKind::kInsert) {
@@ -182,8 +215,7 @@ Query QueryBuilder::BuildDml(TemplateId template_id, StatementKind kind,
     }
     u.selectivity = std::clamp(sel, 1e-12, 1.0);
   }
-  q.update = std::move(u);
-  q.optimize_overhead = 1.0;
+  q.update = u;
   return q;
 }
 

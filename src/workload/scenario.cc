@@ -273,14 +273,14 @@ Workload GenerateScenarioWorkload(const Schema& schema,
   // read/write coin, template rank, then the template's parameter draws.
   // Generation is single-threaded by construction, which is what makes
   // the bit-identical-across-thread-counts claim structural.
+  wl.Reserve(options.num_queries);
+  QueryBuilder b(schema, &rng, options.dispersion);
   for (uint32_t i = 0; i < options.num_queries; ++i) {
     bool is_write =
         write_fraction > 0.0 && rng.NextBernoulli(write_fraction);
     size_t ti = is_write ? num_reads + dml_law->Sample(&rng)
                          : read_law.Sample(&rng);
-    QueryBuilder b(schema, &rng, options.dispersion);
-    Query q = specs[ti].build(b, static_cast<TemplateId>(ti));
-    wl.AddQuery(std::move(q));
+    wl.AddQuery(specs[ti].build(b, static_cast<TemplateId>(ti)));
   }
 
   PDX_CHECK(wl.Validate().ok());

@@ -445,11 +445,11 @@ Workload GenerateTpcdWorkload(const Schema& schema,
   if (options.template_skew > 0.0) {
     skewed.emplace(specs.size(), options.template_skew);
   }
+  wl.Reserve(options.num_queries);
+  QB b(schema, &rng);
   for (uint32_t i = 0; i < options.num_queries; ++i) {
     size_t ti = skewed ? skewed->Sample(&rng) : (i % specs.size());
-    QB b(schema, &rng);
-    Query q = specs[ti].build(b, static_cast<TemplateId>(ti));
-    wl.AddQuery(std::move(q));
+    wl.AddQuery(specs[ti].build(b, static_cast<TemplateId>(ti)));
   }
 
   PDX_CHECK(wl.Validate().ok());

@@ -2,13 +2,26 @@
 
 namespace pdx {
 
-QueryId Workload::AddQuery(Query query) {
+QueryId Workload::AddQuery(const Query& query) {
   PDX_CHECK(query.template_id < templates_.size());
-  QueryId id = static_cast<QueryId>(queries_.size());
-  query.id = id;
-  template_members_[query.template_id].push_back(id);
-  queries_.push_back(std::move(query));
-  return id;
+  // `query` may be one of this workload's own: copy it before growing.
+  return Register(store_.Append(query));
+}
+
+void Workload::AdoptQueries(std::span<const Query> queries,
+                            QueryStore&& store) {
+  store_.Adopt(std::move(store));
+  for (const Query& q : queries) {
+    PDX_CHECK(q.template_id < templates_.size());
+    Register(q);
+  }
+}
+
+QueryId Workload::Register(Query query) {
+  query.id = static_cast<QueryId>(queries_.size());
+  template_members_[query.template_id].push_back(query.id);
+  queries_.push_back(query);
+  return query.id;
 }
 
 TemplateId Workload::AddTemplate(QueryTemplate tmpl) {

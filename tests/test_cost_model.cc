@@ -86,8 +86,9 @@ TEST_F(CostModelTest, JoinCardinalityContainment) {
 TEST_F(CostModelTest, GroupCardinalityCappedByRows) {
   ColumnRef flag{static_cast<TableId>(kLineitem),
                  schema_.table(kLineitem).FindColumn("l_returnflag")};
-  EXPECT_LE(model_.GroupCardinality(10.0, {flag}), 10.0);
-  EXPECT_NEAR(model_.GroupCardinality(1e9, {flag}), 3.0, 1e-9);
+  const ColumnRef by_flag[] = {flag};
+  EXPECT_LE(model_.GroupCardinality(10.0, by_flag), 10.0);
+  EXPECT_NEAR(model_.GroupCardinality(1e9, by_flag), 3.0, 1e-9);
   EXPECT_EQ(model_.GroupCardinality(100.0, {}), 1.0);
 }
 

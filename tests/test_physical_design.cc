@@ -20,11 +20,12 @@ Index MakeIndex(TableId t, std::vector<ColumnId> keys,
 
 TEST(IndexTest, CoversKeysAndIncludes) {
   Index i = MakeIndex(kLineitem, {1, 2}, {5, 6});
-  EXPECT_TRUE(i.Covers({1}));
-  EXPECT_TRUE(i.Covers({2, 5}));
-  EXPECT_TRUE(i.Covers({1, 2, 5, 6}));
-  EXPECT_FALSE(i.Covers({3}));
-  EXPECT_TRUE(i.Covers({}));
+  auto covers = [&](std::vector<ColumnId> cols) { return i.Covers(cols); };
+  EXPECT_TRUE(covers({1}));
+  EXPECT_TRUE(covers({2, 5}));
+  EXPECT_TRUE(covers({1, 2, 5, 6}));
+  EXPECT_FALSE(covers({3}));
+  EXPECT_TRUE(covers({}));
 }
 
 TEST(IndexTest, StorageSmallerThanHeapForNarrowKeys) {

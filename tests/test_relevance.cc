@@ -17,16 +17,46 @@ using testing::SmallTpcdWorkload;
 // Handcrafted shapes pin the footprint and the applicability predicates;
 // the property tests at the bottom pin them against the optimizer itself.
 
+/// Handcrafted queries are appended to one store that outlives every test.
+QueryStore& Store() {
+  static QueryStore store;
+  return store;
+}
+
 Query MakeSelect(TableId table, std::vector<Predicate> preds,
                  std::vector<ColumnId> referenced) {
+  Store().AddAccess(table, referenced);
+  for (const Predicate& p : preds) Store().AddPredicate(p);
   Query q;
   q.kind = StatementKind::kSelect;
-  TableAccess a;
-  a.table = table;
-  a.predicates = std::move(preds);
-  a.referenced_columns = std::move(referenced);
-  q.select.accesses.push_back(std::move(a));
-  return q;
+  return Store().Finish(q);
+}
+
+/// Two accesses joined by one edge, optionally grouped.
+Query MakeJoin(TableId t1, std::vector<ColumnId> referenced1, TableId t2,
+               std::vector<ColumnId> referenced2, JoinEdge j,
+               std::vector<ColumnRef> group_by = {}) {
+  Store().AddAccess(t1, referenced1);
+  Store().AddAccess(t2, referenced2);
+  Store().AddJoin(j);
+  Store().SetGroupBy(group_by);
+  Query q;
+  q.kind = StatementKind::kSelect;
+  return Store().Finish(q);
+}
+
+/// A DML statement writing `set_columns` of `table`, with no SELECT part.
+Query MakeDml(StatementKind kind, TableId table,
+              std::vector<ColumnId> set_columns, double selectivity) {
+  Store().SetUpdateColumns(set_columns);
+  Query q;
+  q.kind = kind;
+  UpdateSpec u;
+  u.table = table;
+  u.kind = kind;
+  u.selectivity = selectivity;
+  q.update = u;
+  return Store().Finish(q);
 }
 
 Predicate Pred(TableId t, ColumnId c, PredOp op, bool sargable = true) {
@@ -56,20 +86,12 @@ TEST(FootprintTest, SeekColumnsOnlyFromSargableSeekablePredicates) {
 }
 
 TEST(FootprintTest, JoinColumnsAndViewTables) {
-  Query q;
-  q.kind = StatementKind::kSelect;
-  TableAccess a1, a2;
-  a1.table = 7;
-  a1.referenced_columns = {0};
-  a2.table = 3;
-  a2.referenced_columns = {1};
-  q.select.accesses = {a1, a2};
   JoinEdge j;
   j.left_access = 0;
   j.right_access = 1;
   j.left_column = 2;
   j.right_column = 4;
-  q.select.joins = {j};
+  Query q = MakeJoin(7, {0}, 3, {1}, j);
   QueryFootprint f = ComputeFootprint(q);
   EXPECT_TRUE(f.has_joins);
   EXPECT_EQ(f.accesses[0].join_columns, (std::vector<ColumnId>{2}));
@@ -110,20 +132,13 @@ TEST(RelevanceTest, IndexRelevantToAccessRules) {
 }
 
 TEST(RelevanceTest, JoinColumnMakesIndexRelevant) {
-  Query q;
-  TableAccess a1, a2;
-  a1.table = 1;
-  // Non-empty referenced columns so no index covers the access trivially.
-  a1.referenced_columns = {0};
-  a2.table = 2;
-  a2.referenced_columns = {0};
-  q.select.accesses = {a1, a2};
   JoinEdge j;
   j.left_access = 0;
   j.right_access = 1;
   j.left_column = 3;
   j.right_column = 4;
-  q.select.joins = {j};
+  // Non-empty referenced columns so no index covers the access trivially.
+  Query q = MakeJoin(1, {0}, 2, {0}, j);
   QueryFootprint f = ComputeFootprint(q);
 
   Index probe;  // index-nested-loop probe target on the right side
@@ -138,14 +153,7 @@ TEST(RelevanceTest, JoinColumnMakesIndexRelevant) {
 }
 
 TEST(RelevanceTest, UpdateTouchRules) {
-  Query q;
-  q.kind = StatementKind::kUpdate;
-  UpdateSpec u;
-  u.table = 6;
-  u.kind = StatementKind::kUpdate;
-  u.set_columns = {2};
-  u.selectivity = 0.01;
-  q.update = u;
+  Query q = MakeDml(StatementKind::kUpdate, 6, {2}, 0.01);
   QueryFootprint f = ComputeFootprint(q);
 
   Index with_set_key;
@@ -174,7 +182,7 @@ TEST(RelevanceTest, UpdateTouchRules) {
   f = ComputeFootprint(q);
   EXPECT_TRUE(IndexTouchedByUpdate(f, untouched));
   q.update->kind = StatementKind::kDelete;
-  q.update->set_columns.clear();
+  q.update->set_columns = {};
   f = ComputeFootprint(q);
   EXPECT_TRUE(IndexTouchedByUpdate(f, untouched));
 }
@@ -191,7 +199,7 @@ MaterializedView MatchingViewFor(const Query& q) {
                      {spec.accesses[j.right_access].table, j.right_column}});
   }
   v.join_signature = MakeJoinSignature(edges);
-  v.group_by = spec.group_by;
+  v.group_by.assign(spec.group_by.begin(), spec.group_by.end());
   for (const TableAccess& a : spec.accesses) {
     for (ColumnId c : a.referenced_columns) {
       v.exposed_columns.push_back({a.table, c});
@@ -202,21 +210,12 @@ MaterializedView MatchingViewFor(const Query& q) {
 }
 
 Query TwoTableJoinQuery() {
-  Query q;
-  TableAccess a1, a2;
-  a1.table = 1;
-  a1.referenced_columns = {0, 3};
-  a2.table = 2;
-  a2.referenced_columns = {4};
-  q.select.accesses = {a1, a2};
   JoinEdge j;
   j.left_access = 0;
   j.right_access = 1;
   j.left_column = 3;
   j.right_column = 4;
-  q.select.joins = {j};
-  q.select.group_by = {{1, 0}};
-  return q;
+  return MakeJoin(1, {0, 3}, 2, {4}, j, {{1, 0}});
 }
 
 TEST(RelevanceTest, ViewSelectRelevantExactMatch) {
@@ -252,13 +251,7 @@ TEST(RelevanceTest, ViewMissingReferencedColumnNotRelevant) {
 }
 
 TEST(RelevanceTest, ViewRelevantForMaintenanceUnderUpdate) {
-  Query q;
-  q.kind = StatementKind::kInsert;
-  UpdateSpec u;
-  u.table = 2;
-  u.kind = StatementKind::kInsert;
-  u.selectivity = 1e-6;
-  q.update = u;
+  Query q = MakeDml(StatementKind::kInsert, 2, {}, 1e-6);
   QueryFootprint f = ComputeFootprint(q);
 
   MaterializedView on_table;

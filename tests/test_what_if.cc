@@ -293,7 +293,7 @@ MaterializedView ViewAnswering(const Query& q) {
                      {spec.accesses[j.right_access].table, j.right_column}});
   }
   v.join_signature = MakeJoinSignature(edges);
-  v.group_by = spec.group_by;
+  v.group_by.assign(spec.group_by.begin(), spec.group_by.end());
   for (const TableAccess& a : spec.accesses) {
     for (ColumnId c : a.referenced_columns) {
       v.exposed_columns.push_back({a.table, c});
@@ -423,20 +423,22 @@ class WhatIfExplainPathsTest : public WhatIfTest {
   ColumnId Col(TableId t, const char* name) const {
     return schema_.table(t).FindColumn(name);
   }
-  TableAccess Access(TableId t, std::vector<const char*> columns) const {
-    TableAccess a;
-    a.table = t;
-    for (const char* c : columns) a.referenced_columns.push_back(Col(t, c));
-    return a;
+  /// Opens an access of the query being built in store_.
+  void Access(TableId t, std::vector<const char*> columns) {
+    std::vector<ColumnId> refs;
+    for (const char* c : columns) refs.push_back(Col(t, c));
+    store_.AddAccess(t, refs);
+    access_table_ = t;
   }
-  static void AddPredicate(TableAccess* a, ColumnId column, PredOp op,
-                           double selectivity) {
+  /// Adds a predicate to the access opened last.
+  void AddPredicate(ColumnId column, PredOp op, double selectivity) {
     Predicate p;
-    p.column = {a->table, column};
+    p.column = {access_table_, column};
     p.op = op;
     p.selectivity = selectivity;
-    a->predicates.push_back(p);
+    store_.AddPredicate(p);
   }
+  Query Finish() { return store_.Finish(Query()); }
   Index MakeIndex(TableId t, std::vector<const char*> keys,
                   std::vector<const char*> includes = {}) const {
     Index i;
@@ -453,38 +455,37 @@ class WhatIfExplainPathsTest : public WhatIfTest {
     return ex.access_paths;
   }
   /// orders (selective o_orderdate range) joined to customer on custkey.
-  Query OrdersCustomerJoin() const {
-    Query q;
-    TableAccess orders = Access(kOrders, {"o_custkey", "o_orderdate"});
-    AddPredicate(&orders, Col(kOrders, "o_orderdate"), PredOp::kRange, 1e-5);
-    q.select.accesses.push_back(orders);
-    q.select.accesses.push_back(Access(kCustomer, {"c_custkey", "c_acctbal"}));
-    q.select.joins.push_back(JoinEdge{0, 1, Col(kOrders, "o_custkey"),
-                                      Col(kCustomer, "c_custkey")});
-    return q;
+  Query OrdersCustomerJoin() {
+    Access(kOrders, {"o_custkey", "o_orderdate"});
+    AddPredicate(Col(kOrders, "o_orderdate"), PredOp::kRange, 1e-5);
+    Access(kCustomer, {"c_custkey", "c_acctbal"});
+    store_.AddJoin(JoinEdge{0, 1, Col(kOrders, "o_custkey"),
+                            Col(kCustomer, "c_custkey")});
+    return Finish();
   }
+
+  QueryStore store_;
+  TableId access_table_ = kInvalidTableId;
 };
 
 TEST_F(WhatIfExplainPathsTest, SingleTablePlanKinds) {
   Configuration empty("empty");
-  Query scan;
-  scan.select.accesses.push_back(Access(kCustomer, {"c_custkey"}));
+  Access(kCustomer, {"c_custkey"});
+  const Query scan = Finish();
   EXPECT_EQ(Paths(scan, empty),
             std::vector<std::string>{"heap_scan(customer)"});
 
-  Query lookup;
-  lookup.select.accesses.push_back(Access(kCustomer, {"c_custkey"}));
-  AddPredicate(&lookup.select.accesses[0], Col(kCustomer, "c_custkey"),
-               PredOp::kEq, 1.0 / 7500.0);
+  Access(kCustomer, {"c_custkey"});
+  AddPredicate(Col(kCustomer, "c_custkey"), PredOp::kEq, 1.0 / 7500.0);
+  const Query lookup = Finish();
   Configuration seek("seek");
   seek.AddIndex(MakeIndex(kCustomer, {"c_custkey"}));
   EXPECT_EQ(Paths(lookup, seek),
             std::vector<std::string>{"index_seek(ix_customer(c_custkey))"});
 
-  Query range;
-  range.select.accesses.push_back(Access(kCustomer, {"c_acctbal"}));
-  AddPredicate(&range.select.accesses[0], Col(kCustomer, "c_acctbal"),
-               PredOp::kRange, 0.001);
+  Access(kCustomer, {"c_acctbal"});
+  AddPredicate(Col(kCustomer, "c_acctbal"), PredOp::kRange, 0.001);
+  const Query range = Finish();
   Configuration ranged("range");
   ranged.AddIndex(MakeIndex(kCustomer, {"c_acctbal"}));
   EXPECT_EQ(Paths(range, ranged),

@@ -160,44 +160,45 @@ TEST(WorkloadTest, ValidateRejectsBadSelectivity) {
   QueryTemplate tmpl;
   tmpl.name = "t";
   wl.AddTemplate(std::move(tmpl));
-  Query q;
-  q.template_id = 0;
-  TableAccess a;
-  a.table = kCustomer;
+  QueryStore store;
+  store.AddAccess(kCustomer, {});
   Predicate p;
   p.column = {static_cast<TableId>(kCustomer), 0};
   p.selectivity = 0.0;  // invalid
-  a.predicates.push_back(p);
-  q.select.accesses.push_back(a);
-  wl.AddQuery(std::move(q));
+  store.AddPredicate(p);
+  Query q;
+  q.template_id = 0;
+  wl.AddQuery(store.Finish(q));
   EXPECT_FALSE(wl.Validate().ok());
 }
 
-/// Four single-column accesses (customer, orders, lineitem, part) with the
-/// given join edges, all on column 0.
-Query FourAccessQuery(std::vector<std::pair<uint32_t, uint32_t>> edges) {
-  Query q;
-  q.template_id = 0;
-  for (TableId t : {TableId{kCustomer}, TableId{kOrders}, TableId{kLineitem},
-                    TableId{kPart}}) {
-    TableAccess a;
-    a.table = t;
-    a.referenced_columns = {0};
-    q.select.accesses.push_back(a);
-  }
-  for (auto [l, r] : edges) {
-    q.select.joins.push_back(JoinEdge{l, r, 0, 0});
-  }
-  return q;
-}
-
-Workload OneQueryWorkload(const Schema* schema, Query q) {
+/// A workload of one query: one access per table in `tables`, each
+/// referencing column 0, joined by `joins` in order.
+Workload OneQueryWorkload(const Schema* schema,
+                          const std::vector<TableId>& tables,
+                          const std::vector<JoinEdge>& joins) {
   Workload wl(schema);
   QueryTemplate tmpl;
   tmpl.name = "t";
   wl.AddTemplate(std::move(tmpl));
-  wl.AddQuery(std::move(q));
+  QueryStore store;
+  const ColumnId first_column[] = {0};
+  for (TableId t : tables) store.AddAccess(t, first_column);
+  for (const JoinEdge& j : joins) store.AddJoin(j);
+  Query q;
+  q.template_id = 0;
+  wl.AddQuery(store.Finish(q));
   return wl;
+}
+
+/// Four single-column accesses (customer, orders, lineitem, part) with the
+/// given join edges, all on column 0.
+Workload FourAccessWorkload(const Schema* schema,
+                            std::vector<std::pair<uint32_t, uint32_t>> edges) {
+  std::vector<JoinEdge> joins;
+  for (auto [l, r] : edges) joins.push_back(JoinEdge{l, r, 0, 0});
+  return OneQueryWorkload(
+      schema, {kCustomer, kOrders, kLineitem, kPart}, joins);
 }
 
 TEST(WorkloadTest, ValidateRejectsDisconnectedJoinOrder) {
@@ -205,7 +206,7 @@ TEST(WorkloadTest, ValidateRejectsDisconnectedJoinOrder) {
   // prefix {0,1}. Pricing it used to abort the process; it is now an
   // InvalidArgument at validation time.
   Schema schema = SmallTpcdSchema();
-  Workload wl = OneQueryWorkload(&schema, FourAccessQuery({{0, 1}, {2, 3}}));
+  Workload wl = FourAccessWorkload(&schema, {{0, 1}, {2, 3}});
   Status st = wl.Validate();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("disconnected"), std::string::npos)
@@ -221,24 +222,24 @@ TEST(WorkloadTest, ValidateAcceptsConnectedJoinOrders) {
            {{0, 1}, {1, 2}, {2, 3}},
            {{1, 0}, {2, 1}, {1, 3}},
            {{0, 1}, {1, 0}, {3, 1}, {2, 3}}}) {
-    Workload wl = OneQueryWorkload(&schema, FourAccessQuery(edges));
+    Workload wl = FourAccessWorkload(&schema, edges);
     EXPECT_TRUE(wl.Validate().ok()) << wl.Validate().ToString();
   }
 }
 
 TEST(WorkloadTest, ValidateRejectsBadJoinColumnsAndTooManyAccesses) {
   Schema schema = SmallTpcdSchema();
-  Query bad_column = FourAccessQuery({{0, 1}});
-  bad_column.select.joins[0].right_column = 999;
-  Status st = OneQueryWorkload(&schema, bad_column).Validate();
+  Status st = OneQueryWorkload(&schema,
+                               {kCustomer, kOrders, kLineitem, kPart},
+                               {JoinEdge{0, 1, 0, 999}})
+                  .Validate();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("join column"), std::string::npos);
 
-  Query wide;
-  wide.template_id = 0;
-  wide.select.accesses.resize(SelectSpec::kMaxAccesses + 1);
-  for (TableAccess& a : wide.select.accesses) a.table = kCustomer;
-  st = OneQueryWorkload(&schema, wide).Validate();
+  st = OneQueryWorkload(
+           &schema,
+           std::vector<TableId>(SelectSpec::kMaxAccesses + 1, kCustomer), {})
+           .Validate();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("too many"), std::string::npos);
 }
